@@ -268,6 +268,56 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         assert_eq!(ans.len(), 160);
     });
 
+    // Solution reduction (DESIGN.md §3.6), self-asserting: a flat solution
+    // of n distinct repeatable children plus n/2 duplicates, then one of
+    // 2n, reduced in the same run. Hash-and-verify dedup is linear, so the
+    // doubling may cost at most 2.5x the time (a per-parent list of seen
+    // subtrees would cost about 4x). Each side takes the fastest of seven
+    // reductions.
+    let reduce_map = xmlmap_core::Mapping::new(
+        xmlmap_dtd::parse("root r\nr -> a*\na @ v").unwrap(),
+        xmlmap_dtd::parse("root r\nr -> b*\nb -> c\nb @ x\nc @ y").unwrap(),
+        vec![xmlmap_core::Std::parse("r/a(x) --> r/b(x)/c(x)").unwrap()],
+    );
+    let flat_solution = |n: usize| {
+        let mut t = Tree::new("r");
+        let mut add = |k: usize| {
+            let b = t.add_child(Tree::ROOT, "b", [("x", Value::str(format!("x{k}")))]);
+            t.add_child(b, "c", [("y", Value::int(k as i64))]);
+        };
+        for i in 0..n {
+            add(i);
+            if i % 2 == 1 {
+                add(i / 2); // a duplicate of an earlier child
+            }
+        }
+        t
+    };
+    let reduce_once = |t: &Tree, n: usize| {
+        let started = std::time::Instant::now();
+        let reduced = xmlmap_core::reduce_solution(&reduce_map, t);
+        let took = started.elapsed();
+        assert_eq!(reduced.children(Tree::ROOT).len(), n, "duplicates dropped");
+        took
+    };
+    const REDUCE_N: usize = 10_000;
+    let (flat_n, flat_2n) = (flat_solution(REDUCE_N), flat_solution(2 * REDUCE_N));
+    // Alternate the two sizes, so a slow spell of the host hits both.
+    let (mut t_n, mut t_2n) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        t_n = t_n.min(reduce_once(&flat_n, REDUCE_N));
+        t_2n = t_2n.min(reduce_once(&flat_2n, 2 * REDUCE_N));
+    }
+    let ratio = t_2n.as_secs_f64() / t_n.as_secs_f64();
+    assert!(
+        ratio <= 2.5,
+        "reducing 2n children took {ratio:.2}x the time of n ({t_2n:?} vs {t_n:?})"
+    );
+    bench("exchange/reduce_doubling", &mut || {
+        let reduced = xmlmap_core::reduce_solution(&reduce_map, &flat_2n);
+        assert_eq!(reduced.children(Tree::ROOT).len(), 2 * REDUCE_N);
+    });
+
     // ---- consistency micro-suite (type-fixpoint engine workloads) ----
 
     // Repeated satisfiability probes against one schema: N probes pay the

@@ -15,9 +15,11 @@
 
 use crate::chase::{canonical_solution_cached, ChaseCache, ChaseError};
 use crate::stds::Mapping;
+use std::collections::hash_map::{Entry, HashMap};
 use xmlmap_dtd::Mult;
 use xmlmap_patterns::{eval, Pattern, Valuation};
-use xmlmap_trees::{NodeId, Tree};
+use xmlmap_regex::FastHashMap;
+use xmlmap_trees::{subtrees_equal, Name, NodeId, Tree, Value};
 
 /// Certain answers of `query` over all solutions of `source` under `m`:
 /// the valuations returned in *every* solution.
@@ -94,44 +96,99 @@ impl std::fmt::Display for CertainAnswersError {
 
 impl std::error::Error for CertainAnswersError {}
 
-/// Deduplicates identical sibling subtrees sitting in repeatable slots,
-/// bottom-up. The result is still a solution whenever the input was one
-/// produced by the chase for a mapping without target `≠` conditions
-/// (removing one of two identical subtrees cannot lose any pattern match —
-/// the twin provides the same matches).
+/// Deduplicates identical sibling subtrees sitting in repeatable slots.
+/// The result is still a solution whenever the input was one produced by
+/// the chase for a mapping without target `≠` conditions (removing one of
+/// two identical subtrees cannot lose any pattern match — the twin
+/// provides the same matches).
+///
+/// Two siblings are *identical* when their subtrees in the **input** are
+/// ([`xmlmap_trees::subtrees_equal`]): same label, same attributes (names
+/// and values in order, nulls by id, `Int(1)` apart from `Str("1")`) and
+/// pairwise identical children in the same order. Only children whose
+/// label has a repeatable multiplicity in the target DTD are dropped, and
+/// of each set of identical siblings the first one is kept. Subtrees that
+/// become identical only after their own children are reduced stay apart.
+///
+/// Cost: linear in the size of the solution, in expected time. One
+/// bottom-up pass computes a structural hash per node
+/// ([`xmlmap_trees::subtree_hashes`]); each parent then looks its
+/// repeatable children up in a hash → kept-twins table and confirms every
+/// hit with an exact comparison, so a hash collision never merges two
+/// different subtrees. The output is built iteratively in pre-order, the
+/// arena order of a recursive rebuild.
 pub fn reduce_solution(m: &Mapping, solution: &Tree) -> Tree {
     let Some(nr) = m.target_dtd.nested_relational() else {
         return solution.clone();
     };
-    // Rebuild the tree, skipping duplicate repeatable-slot children.
-    fn rebuild(
-        src: &Tree,
-        node: NodeId,
-        nr: &xmlmap_dtd::NestedRelationalView,
-        out: &mut Tree,
-        at: NodeId,
-    ) {
-        let mut seen: Vec<(xmlmap_trees::Name, String)> = Vec::new();
-        for &child in src.children(node) {
-            let label = src.label(child).clone();
-            let repeatable = nr.mult(&label).is_some_and(Mult::repeatable);
-            if repeatable {
-                let fingerprint = format!("{:?}", src.subtree(child));
-                if seen.contains(&(label.clone(), fingerprint.clone())) {
+    let out =
+        dedup_repeatable_siblings(solution, &xmlmap_trees::subtree_hashes(solution), |label| {
+            nr.mult(label).is_some_and(Mult::repeatable)
+        });
+    debug_assert!(m.target_dtd.conforms(&out));
+    out
+}
+
+/// [`reduce_solution`]'s rebuild over precomputed structural `hashes` of
+/// `src` (indexed by node). The hashes only pick which kept siblings to
+/// compare against: any hash function, even a constant one, yields the
+/// same tree.
+fn dedup_repeatable_siblings(
+    src: &Tree,
+    hashes: &[u64],
+    repeatable: impl Fn(&Name) -> bool,
+) -> Tree {
+    /// End of a twin chain.
+    const NONE: u32 = u32::MAX;
+    let mut out = Tree::with_root_attrs(
+        src.label(Tree::ROOT).clone(),
+        src.attrs(Tree::ROOT).iter().cloned(),
+    );
+    // Kept repeatable children of the parent being expanded: `twins[i]`
+    // is a kept child and the index of the previous kept child with the
+    // same hash; `heads` maps a hash to the last one.
+    let mut twins: Vec<(NodeId, u32)> = Vec::new();
+    // Source children still to copy, with their output parent; popped in
+    // document order.
+    let mut pending: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut expand = |node: NodeId, at: NodeId, pending: &mut Vec<(NodeId, NodeId)>| {
+        let children = src.children(node);
+        let first = pending.len();
+        let siblings = children.len() > 1;
+        // A fresh table per parent: clearing a large one would cost its
+        // capacity again at every later parent.
+        let mut heads: FastHashMap<u64, u32> = FastHashMap::default();
+        if siblings {
+            heads.reserve(children.len());
+        }
+        twins.clear();
+        for &child in children {
+            if siblings && repeatable(src.label(child)) {
+                let hash = hashes[child.index()];
+                let head = heads.get(&hash).copied().unwrap_or(NONE);
+                let mut twin = head;
+                while twin != NONE && !subtrees_equal(src, twins[twin as usize].0, src, child) {
+                    twin = twins[twin as usize].1;
+                }
+                if twin != NONE {
                     continue;
                 }
-                seen.push((label.clone(), fingerprint));
+                heads.insert(hash, twins.len() as u32);
+                twins.push((child, head));
             }
-            let new_child = out.add_child(at, label, src.attrs(child).iter().cloned());
-            rebuild(src, child, nr, out, new_child);
+            pending.push((child, at));
         }
+        pending[first..].reverse();
+    };
+    expand(Tree::ROOT, Tree::ROOT, &mut pending);
+    while let Some((child, at)) = pending.pop() {
+        let copy = out.add_child(
+            at,
+            src.label(child).clone(),
+            src.attrs(child).iter().cloned(),
+        );
+        expand(child, copy, &mut pending);
     }
-    let mut out = Tree::with_root_attrs(
-        solution.label(Tree::ROOT).clone(),
-        solution.attrs(Tree::ROOT).iter().cloned(),
-    );
-    rebuild(solution, Tree::ROOT, &nr, &mut out, Tree::ROOT);
-    debug_assert!(m.target_dtd.conforms(&out));
     out
 }
 
@@ -164,6 +221,14 @@ pub fn reduced_solution_cached(
 /// downward: node merging preserves child/descendant matches and never
 /// removes values. For mappings with horizontal target patterns the input
 /// is returned unchanged.
+///
+/// Two siblings merge when their *nodes* are identical: same label and
+/// same attributes (names and values in order, nulls by id); their
+/// children are not compared but pooled. Groups keep the order of their
+/// first member. Cost: linear in the size of the solution, in expected
+/// time — each level groups the pooled children through one hash table
+/// keyed by borrowed (label, attributes) pairs — plus the final
+/// conformance check.
 pub fn nest_solution(m: &Mapping, solution: &Tree) -> Tree {
     let horizontal = m
         .stds
@@ -176,49 +241,51 @@ pub fn nest_solution(m: &Mapping, solution: &Tree) -> Tree {
         return solution.clone();
     }
 
-    /// A merged node under construction.
+    /// A merged node under construction: the first member of its group
+    /// (whose label and attributes every member shares) and the merged
+    /// children of all members.
     struct Merged {
-        label: xmlmap_trees::Name,
-        attrs: Vec<(xmlmap_trees::Name, xmlmap_trees::Value)>,
+        first: NodeId,
         children: Vec<Merged>,
     }
 
-    type Attrs = Vec<(xmlmap_trees::Name, xmlmap_trees::Value)>;
-
     fn merge_children(src: &Tree, nodes: &[NodeId]) -> Vec<Merged> {
         // Gather all children of all merged source nodes, in order, and
-        // group them by (label, attribute values). If a non-repeatable
-        // slot ends up with two value-distinct groups, the final
-        // conformance check fails and the caller keeps the original.
-        let mut out: Vec<Merged> = Vec::new();
-        let mut groups: Vec<(xmlmap_trees::Name, Attrs, Vec<NodeId>)> = Vec::new();
+        // group them by (label, attribute values), groups in order of
+        // first occurrence. If a non-repeatable slot ends up with two
+        // value-distinct groups, the final conformance check fails and
+        // the caller keeps the original.
+        type Key<'t> = (&'t Name, &'t [(Name, Value)]);
+        let mut index: HashMap<Key<'_>, usize> = HashMap::new();
+        let mut groups: Vec<Vec<NodeId>> = Vec::new();
         for &n in nodes {
             for &c in src.children(n) {
-                let label = src.label(c).clone();
-                let attrs: Vec<_> = src.attrs(c).to_vec();
-                let slot = groups
-                    .iter_mut()
-                    .find(|(l, a, _)| *l == label && *a == attrs);
-                match slot {
-                    Some((_, _, members)) => members.push(c),
-                    None => groups.push((label, attrs, vec![c])),
+                match index.entry((src.label(c), src.attrs(c))) {
+                    Entry::Occupied(slot) => groups[*slot.get()].push(c),
+                    Entry::Vacant(slot) => {
+                        slot.insert(groups.len());
+                        groups.push(vec![c]);
+                    }
                 }
             }
         }
-        for (label, attrs, members) in groups {
-            out.push(Merged {
-                label,
-                attrs,
+        groups
+            .into_iter()
+            .map(|members| Merged {
+                first: members[0],
                 children: merge_children(src, &members),
-            });
-        }
-        out
+            })
+            .collect()
     }
 
-    fn build(out: &mut Tree, at: NodeId, merged: &Merged) {
-        let id = out.add_child(at, merged.label.clone(), merged.attrs.iter().cloned());
+    fn build(src: &Tree, out: &mut Tree, at: NodeId, merged: &Merged) {
+        let id = out.add_child(
+            at,
+            src.label(merged.first).clone(),
+            src.attrs(merged.first).iter().cloned(),
+        );
         for c in &merged.children {
-            build(out, id, c);
+            build(src, out, id, c);
         }
     }
 
@@ -228,7 +295,7 @@ pub fn nest_solution(m: &Mapping, solution: &Tree) -> Tree {
         solution.attrs(Tree::ROOT).iter().cloned(),
     );
     for c in &top {
-        build(&mut out, Tree::ROOT, c);
+        build(solution, &mut out, Tree::ROOT, c);
     }
     if m.target_dtd.conforms(&out) {
         out
@@ -341,6 +408,47 @@ mod tests {
         let reduced = reduce_solution(&m, &solution);
         assert_eq!(reduced.children(Tree::ROOT).len(), 2);
         assert!(m.is_solution(&src, &reduced));
+    }
+
+    #[test]
+    fn colliding_hashes_do_not_change_the_reduction() {
+        // With every hash forced equal, each repeatable child meets every
+        // kept sibling and the exact comparison alone decides.
+        let m = mapping(
+            "root r\nr -> a*\na @ v, w",
+            "root r\nr -> b*\nb -> c*\nb @ x\nc @ y, z",
+            &[
+                "r/a(x, y) --> r/b(x)/c(y, z)",
+                "r/a(x, y) --> r/b(y)/c(x, x)",
+                "r/a(x, y) --> r/b(x)/c(x, x)",
+            ],
+        );
+        let src = tree!("r" [
+            "a"("v" = "1", "w" = "1"),
+            "a"("v" = "1", "w" = "2"),
+            "a"("v" = "2", "w" = "1"),
+            "a"("v" = "1", "w" = "1"),
+        ]);
+        let chased = canonical_solution(&m, &src).unwrap();
+        let mut handmade = tree!("r" [
+            "b"("x" = "1") [ "c"("y" = "1", "z" = "1") ],
+            "b"("x" = "1") [ "c"("y" = "1", "z" = "1"), "c"("y" = "1", "z" = "1") ],
+            "b"("x" = "1") [ "c"("y" = "1", "z" = "1") ],
+            "b"("x" = 1) [ "c"("y" = "1", "z" = "1") ],
+        ]);
+        for null in [7, 8, 7] {
+            let b = handmade.add_child(Tree::ROOT, "b", [("x", Value::null(null))]);
+            handmade.add_child(b, "c", [("y", Value::null(null)), ("z", Value::str("1"))]);
+        }
+        let nr = m.target_dtd.nested_relational().unwrap();
+        let repeatable = |label: &Name| nr.mult(label).is_some_and(Mult::repeatable);
+        for solution in [chased, handmade] {
+            let reduced = reduce_solution(&m, &solution);
+            assert!(reduced.size() < solution.size());
+            let collided =
+                dedup_repeatable_siblings(&solution, &vec![0; solution.size()], repeatable);
+            assert_eq!(collided, reduced);
+        }
     }
 
     #[test]

@@ -408,6 +408,21 @@ fn rooted_tuples(plan: &StreamPattern, frame: &EFrame, pi: usize) -> Vec<Box<[Va
     acc
 }
 
+/// Moves every tuple of `from` into `into`, leaving `from` empty and
+/// without a buffer. The shorter vector is appended to the longer one
+/// (the two swap first when `into` is shorter, as it is whenever it is
+/// empty), so a witness set climbing a deep chain moves in O(1) per level
+/// instead of being copied at every level; tuple order inside a set is
+/// irrelevant, since [`rooted_tuples`] sorts. Releasing the donor's buffer
+/// keeps pooled frames from holding capacity for tuples they passed up.
+fn hand_over(into: &mut Vec<Box<[Value]>>, from: &mut Vec<Box<[Value]>>) {
+    if into.len() < from.len() {
+        std::mem::swap(into, from);
+    }
+    into.append(from);
+    from.shrink_to_fit();
+}
+
 /// A push-based streaming *valuation* enumerator over one document: like
 /// [`StreamMatcher`], but each close emits the complete match tuples
 /// rooted in the closing subtree instead of a bit.
@@ -598,8 +613,8 @@ impl<'p> StreamEnumerator<'p> {
             if frame.local[pi].take().is_some() {
                 self.live -= 1;
             }
-            parent.deeper[pi].append(&mut frame.child[pi]);
-            parent.deeper[pi].append(&mut frame.deeper[pi]);
+            hand_over(&mut parent.deeper[pi], &mut frame.deeper[pi]);
+            hand_over(&mut parent.deeper[pi], &mut frame.child[pi]);
         }
         for w in 0..words {
             parent.child_ok[w] |= self.scratch[w];

@@ -29,7 +29,7 @@ pub mod xml;
 
 pub use name::{name, Name};
 pub use sax::{SaxEvent, SaxReader};
-pub use tree::{isomorphic_mod_nulls, NodeId, Tree};
+pub use tree::{isomorphic_mod_nulls, subtree_hashes, subtrees_equal, NodeId, Tree};
 pub use value::{NullFactory, Value};
 pub use xml::XmlError;
 
@@ -185,6 +185,24 @@ mod proptests {
                 }
                 if let Some(next) = t.next_sibling(*n) {
                     prop_assert!(position[n] < position[&next]);
+                }
+            }
+        }
+
+        /// Structural hashing and equality agree with comparing extracted
+        /// subtrees: identical subtrees hash alike, and `subtrees_equal`
+        /// holds exactly when the copies are `==`.
+        #[test]
+        fn subtree_equality_and_hashes(t in arb_tree()) {
+            let hashes = crate::subtree_hashes(&t);
+            let nodes: Vec<_> = t.nodes().collect();
+            for &a in &nodes {
+                for &b in &nodes {
+                    let same = t.subtree(a) == t.subtree(b);
+                    prop_assert_eq!(crate::subtrees_equal(&t, a, &t, b), same);
+                    if same {
+                        prop_assert_eq!(hashes[a.index()], hashes[b.index()]);
+                    }
                 }
             }
         }

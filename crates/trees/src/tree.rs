@@ -420,6 +420,61 @@ pub fn isomorphic_mod_nulls(a: &Tree, b: &Tree) -> bool {
     go(a, Tree::ROOT, b, Tree::ROOT, &mut fwd, &mut bwd)
 }
 
+/// A structural hash of the subtree rooted at every node of `t`, indexed
+/// by [`NodeId::index`].
+///
+/// A node's hash covers its label, its attributes (names and values, in
+/// order; nulls by their id, and `Int(1)` apart from `Str("1")`) and the
+/// ordered hashes of its children, so identical subtrees — in the sense
+/// of [`subtrees_equal`] — hash alike. Unequal subtrees may collide:
+/// callers verify a hit with [`subtrees_equal`] and never trust the hash.
+///
+/// One pass, O(|t|), no per-node key: the arena only appends a node under
+/// an existing parent, so every child has a larger index than its parent
+/// and walking the arena backwards visits children first. The hasher is
+/// keyed per call, so inputs cannot be crafted to collide; hashes are
+/// therefore only comparable within one call.
+pub fn subtree_hashes(t: &Tree) -> Vec<u64> {
+    use std::hash::{BuildHasher, Hash, Hasher};
+    let keys = std::collections::hash_map::RandomState::new();
+    let mut hashes = vec![0u64; t.nodes.len()];
+    for (i, data) in t.nodes.iter().enumerate().rev() {
+        let mut h = keys.build_hasher();
+        data.label.hash(&mut h);
+        data.attrs.hash(&mut h);
+        h.write_usize(data.children.len());
+        for c in &data.children {
+            debug_assert!(c.index() > i, "children follow their parent in the arena");
+            h.write_u64(hashes[c.index()]);
+        }
+        hashes[i] = h.finish();
+    }
+    hashes
+}
+
+/// Is the subtree of `a` at `an` identical to the subtree of `b` at `bn`?
+///
+/// Identical means: equal labels, equal attribute lists (names and values
+/// in order; a null equals only the null with the same id, and constants
+/// compare by variant and content), and pairwise identical children in
+/// the same order. Iterative, so deep chains cannot overflow the stack.
+pub fn subtrees_equal(a: &Tree, an: NodeId, b: &Tree, bn: NodeId) -> bool {
+    // Node pairs still to compare; allocated only below the roots.
+    let mut pending = Vec::new();
+    let (mut x, mut y) = (an, bn);
+    loop {
+        let (dx, dy) = (&a.nodes[x.index()], &b.nodes[y.index()]);
+        if dx.label != dy.label || dx.attrs != dy.attrs || dx.children.len() != dy.children.len() {
+            return false;
+        }
+        pending.extend(dx.children.iter().copied().zip(dy.children.iter().copied()));
+        match pending.pop() {
+            Some(next) => (x, y) = next,
+            None => return true,
+        }
+    }
+}
+
 struct DescendantsIter<'a> {
     tree: &'a Tree,
     stack: Vec<NodeId>,
@@ -439,12 +494,15 @@ impl Iterator for DescendantsIter<'_> {
 }
 
 impl fmt::Debug for Tree {
+    /// One line per node in document order, indented two spaces per
+    /// level. Iterative, so deep chains cannot overflow the stack.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(t: &Tree, n: NodeId, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-            write!(f, "{:indent$}{}", "", t.label(n), indent = depth * 2)?;
-            if !t.attrs(n).is_empty() {
+        let mut pending = vec![(Tree::ROOT, 0usize)];
+        while let Some((n, depth)) = pending.pop() {
+            write!(f, "{:indent$}{}", "", self.label(n), indent = depth * 2)?;
+            if !self.attrs(n).is_empty() {
                 write!(f, "(")?;
-                for (i, (a, v)) in t.attrs(n).iter().enumerate() {
+                for (i, (a, v)) in self.attrs(n).iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
@@ -453,12 +511,9 @@ impl fmt::Debug for Tree {
                 write!(f, ")")?;
             }
             writeln!(f)?;
-            for &c in t.children(n) {
-                go(t, c, f, depth + 1)?;
-            }
-            Ok(())
+            pending.extend(self.children(n).iter().rev().map(|&c| (c, depth + 1)));
         }
-        go(self, Tree::ROOT, f, 0)
+        Ok(())
     }
 }
 
@@ -636,6 +691,50 @@ mod tests {
         let (t, _) = intro_tree();
         let vals: Vec<String> = t.data_values().map(|v| v.to_string()).collect();
         assert_eq!(vals, ["Ada", "2008", "cs1", "cs2", "Sue"]);
+    }
+
+    #[test]
+    fn structural_hashes_and_equality() {
+        let mut t = Tree::new("r");
+        let mk = |t: &mut Tree, v: Value, kids: &[&str]| {
+            let a = t.add_child(Tree::ROOT, "a", [("x", v)]);
+            for k in kids {
+                t.add_elem(a, *k);
+            }
+            a
+        };
+        let a1 = mk(&mut t, Value::int(1), &["b", "c"]);
+        let a2 = mk(&mut t, Value::int(1), &["b", "c"]);
+        let swapped = mk(&mut t, Value::int(1), &["c", "b"]);
+        let as_str = mk(&mut t, Value::str("1"), &["b", "c"]);
+        let null1 = mk(&mut t, Value::null(1), &[]);
+        let null1_again = mk(&mut t, Value::null(1), &[]);
+        let null2 = mk(&mut t, Value::null(2), &[]);
+        let h = subtree_hashes(&t);
+        assert_eq!(h.len(), t.size());
+        assert!(subtrees_equal(&t, a1, &t, a2));
+        assert_eq!(h[a1.index()], h[a2.index()]);
+        assert!(subtrees_equal(&t, null1, &t, null1_again));
+        assert_eq!(h[null1.index()], h[null1_again.index()]);
+        for other in [swapped, as_str] {
+            assert!(!subtrees_equal(&t, a1, &t, other));
+            assert_ne!(h[a1.index()], h[other.index()]);
+        }
+        assert!(!subtrees_equal(&t, null1, &t, null2));
+        assert_ne!(h[null1.index()], h[null2.index()]);
+        // Across trees: the same subtree standing alone.
+        let alone = t.subtree(a1);
+        assert!(subtrees_equal(&t, a1, &alone, Tree::ROOT));
+        assert!(!subtrees_equal(&t, swapped, &alone, Tree::ROOT));
+    }
+
+    #[test]
+    fn debug_lists_nodes_in_document_order() {
+        let (t, _) = intro_tree();
+        let expected = "r\n  prof(name=\"Ada\")\n    teach\n      year(y=\"2008\")\n        \
+                        course(cno=\"cs1\")\n        course(cno=\"cs2\")\n    supervise\n      \
+                        student(sid=\"Sue\")\n";
+        assert_eq!(format!("{t:?}"), expected);
     }
 
     #[test]

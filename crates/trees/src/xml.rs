@@ -79,32 +79,49 @@ fn escape(s: &str, out: &mut String) {
 }
 
 /// Serialises a [`Tree`] as indented XML.
+///
+/// Iterative (an explicit stack of pending start and end tags), so deep
+/// chains cannot overflow the stack.
 pub fn to_string(tree: &Tree) -> String {
+    enum Tag {
+        Start(NodeId, usize),
+        End(NodeId, usize),
+    }
     let mut out = String::new();
-    fn node(tree: &Tree, n: NodeId, out: &mut String, depth: usize) {
-        let _ = write!(out, "{:indent$}<{}", "", tree.label(n), indent = depth * 2);
-        for (a, v) in tree.attrs(n) {
-            let _ = write!(out, " {a}=\"");
-            escape(&v.to_string(), out);
-            out.push('"');
-        }
-        if tree.children(n).is_empty() {
-            out.push_str("/>\n");
-        } else {
-            out.push_str(">\n");
-            for &c in tree.children(n) {
-                node(tree, c, out, depth + 1);
+    let mut pending = vec![Tag::Start(Tree::ROOT, 0)];
+    while let Some(tag) = pending.pop() {
+        match tag {
+            Tag::Start(n, depth) => {
+                let _ = write!(out, "{:indent$}<{}", "", tree.label(n), indent = depth * 2);
+                for (a, v) in tree.attrs(n) {
+                    let _ = write!(out, " {a}=\"");
+                    escape(&v.to_string(), &mut out);
+                    out.push('"');
+                }
+                if tree.children(n).is_empty() {
+                    out.push_str("/>\n");
+                } else {
+                    out.push_str(">\n");
+                    pending.push(Tag::End(n, depth));
+                    pending.extend(
+                        tree.children(n)
+                            .iter()
+                            .rev()
+                            .map(|&c| Tag::Start(c, depth + 1)),
+                    );
+                }
             }
-            let _ = writeln!(
-                out,
-                "{:indent$}</{}>",
-                "",
-                tree.label(n),
-                indent = depth * 2
-            );
+            Tag::End(n, depth) => {
+                let _ = writeln!(
+                    out,
+                    "{:indent$}</{}>",
+                    "",
+                    tree.label(n),
+                    indent = depth * 2
+                );
+            }
         }
     }
-    node(tree, Tree::ROOT, &mut out, 0);
     out
 }
 
@@ -190,6 +207,32 @@ mod tests {
         assert!(parse("<a").is_err());
         assert!(parse("<a>").is_err());
         assert!(parse(r#"<a v="x"#).is_err());
+    }
+
+    #[test]
+    fn deep_chain_on_a_small_stack() {
+        // A chain far deeper than a 256 KiB stack holds frames of a
+        // per-level recursion: the serializer and the Debug listing must
+        // not recurse. (The indented output grows with depth², so the
+        // chain stays at a depth whose output is tens of MB.)
+        const DEPTH: usize = 4_000;
+        let (xml, debug) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut t = Tree::new("r");
+                let mut at = Tree::ROOT;
+                for i in 0..DEPTH {
+                    at = t.add_child(at, "a", [("v", Value::int(i as i64))]);
+                }
+                (to_string(&t), format!("{t:?}"))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(xml.starts_with("<r>\n  <a v=\"0\">\n    <a v=\"1\">\n"));
+        assert!(xml.ends_with("  </a>\n</r>\n"));
+        assert_eq!(xml.lines().count(), 2 * DEPTH + 1);
+        assert_eq!(debug.lines().count(), DEPTH + 1);
     }
 
     #[test]

@@ -20,13 +20,17 @@
 //!   a solution `isomorphic_mod_nulls`-equal to `canonical_solution` on
 //!   the parsed tree (same error verdict-for-verdict when the mapping
 //!   falls outside the fragment), and withholds the verdict entirely when
-//!   a corrupted document fails conformance mid-stream.
+//!   a corrupted document fails conformance mid-stream;
+//! * shape extremes — recursive chains up to 1 500 deep and fan-outs of
+//!   2 000 siblings, where witness sets climb many levels or pile up
+//!   under one parent: enumeration and tree-equal chase parity.
 //!
 //! Roughly 850 cases run in the default `cargo test`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use xmlmap::core::Mapping;
 use xmlmap::dtd::{Dtd, DtdIndex};
 use xmlmap::gen::{random_tree, university_dtd, TreeGenConfig};
 use xmlmap::patterns::{self, CompiledPattern, Matcher, StreamEnumerator, StreamPattern};
@@ -204,17 +208,110 @@ fn membership_is_withheld_when_conformance_fails() {
 
 /// Feeds the (already attribute-normalised) tree to a [`StreamEnumerator`]
 /// as an open/close event stream, exactly like the one-pass driver does.
+/// Iterative, so deep chains drive it too.
 fn enumerate(plan: &StreamPattern, t: &Tree) -> Vec<Box<[Value]>> {
-    fn drive(t: &Tree, n: NodeId, en: &mut StreamEnumerator) {
-        en.open(t.label(n), t.attrs(n));
-        for &c in t.children(n) {
-            drive(t, c, en);
-        }
-        en.close();
-    }
     let mut en = StreamEnumerator::new(plan);
-    drive(t, Tree::ROOT, &mut en);
+    // `Some(n)`: open n and schedule its children; `None`: a close.
+    let mut pending = vec![Some(Tree::ROOT)];
+    while let Some(event) = pending.pop() {
+        match event {
+            Some(n) => {
+                en.open(t.label(n), t.attrs(n));
+                pending.push(None);
+                pending.extend(t.children(n).iter().rev().map(|&c| Some(c)));
+            }
+            None => en.close(),
+        }
+    }
     en.finish()
+}
+
+/// Asserts that streaming enumeration of each probe over `doc` yields the
+/// arena evaluator's tuples, row for row.
+fn assert_enumeration_parity(doc: &Tree, probes: &[&str]) {
+    for probe in probes {
+        let pat = patterns::parse(probe).unwrap();
+        let plan = StreamPattern::compile(&pat).expect("downward probes stream");
+        let expected = Matcher::new(doc, &CompiledPattern::new(&pat)).all_match_tuples();
+        let streamed = enumerate(&plan, doc);
+        assert_eq!(streamed.len(), expected.len(), "tuple count for `{probe}`");
+        for (s, e) in streamed.iter().zip(&expected) {
+            assert!(
+                s.iter().zip(e.iter()).all(|(a, &b)| a == b),
+                "tuple disagreement for `{probe}`: streamed {s:?} vs arena {e:?}"
+            );
+        }
+    }
+}
+
+/// Deep recursive chains `r -> a?`, `a -> a?`: witness sets climb one
+/// level per close, the shape the enumerator hands over instead of
+/// copying. Values repeat, so the per-close deduplication is exercised.
+#[test]
+fn deep_chains_enumerate_and_chase_like_the_tree() {
+    let m = Mapping::parse(
+        "[source]\nroot r\nr -> a?\na -> a?\na @ v\n\
+         [target]\nroot r\nr -> b*\nb @ w\n\
+         [stds]\nr//a(x) --> r/b(x)\n",
+    )
+    .unwrap();
+    let idx = Arc::new(DtdIndex::new(&m.source_dtd));
+    let plan = xmlmap::core::StreamChasePlan::new(&m);
+    for depth in [1, 2, 50, 1500] {
+        let mut doc = Tree::new("r");
+        let mut at = Tree::ROOT;
+        for i in 0..depth {
+            at = doc.add_child(at, "a", [("v", Value::str(format!("v{}", i % 7)))]);
+        }
+        assert_enumeration_parity(
+            &doc,
+            &["r//a(x)", "r//a(x)[a(y)]", "r/a(x)//a(y)", "r//a[a[a(z)]]"],
+        );
+        let bytes = xml::to_string(&doc).into_bytes();
+        let out = xmlmap::core::chase_stream(&idx, &plan, bytes.as_slice()).unwrap();
+        assert_eq!(out.violation, None);
+        assert_eq!(out.peak_depth(), depth + 1);
+        let streamed = out.solution.expect("verdict").expect("in fragment");
+        let tree = xmlmap::core::canonical_solution(&m, &doc).unwrap();
+        assert!(
+            streamed == tree,
+            "depth {depth}: stream and tree chase differ"
+        );
+        assert_eq!(tree.children(Tree::ROOT).len(), depth.min(7));
+    }
+}
+
+/// Wide fan-outs: thousands of siblings under one parent, each with a
+/// few children, so parents receive many small witness sets.
+#[test]
+fn wide_fan_outs_enumerate_and_chase_like_the_tree() {
+    let m = Mapping::parse(
+        "[source]\nroot r\nr -> a*\na -> c*\na @ v\nc @ u\n\
+         [target]\nroot r\nr -> b*\nb -> d*\nb @ w\nd @ y\n\
+         [stds]\nr/a(x)/c(y) --> r/b(x)/d(y)\n",
+    )
+    .unwrap();
+    let idx = Arc::new(DtdIndex::new(&m.source_dtd));
+    let plan = xmlmap::core::StreamChasePlan::new(&m);
+    for width in [1, 3, 2000] {
+        let mut doc = Tree::new("r");
+        for i in 0..width {
+            let a = doc.add_child(Tree::ROOT, "a", [("v", Value::str(format!("v{}", i % 11)))]);
+            for j in 0..(i % 4) {
+                doc.add_child(a, "c", [("u", Value::str(format!("u{}", (i + j) % 5)))]);
+            }
+        }
+        assert_enumeration_parity(&doc, &["r/a(x)", "r//c(y)", "r/a(x)[c(y)]", "r//_(v)"]);
+        let bytes = xml::to_string(&doc).into_bytes();
+        let out = xmlmap::core::chase_stream(&idx, &plan, bytes.as_slice()).unwrap();
+        assert_eq!(out.violation, None);
+        let streamed = out.solution.expect("verdict").expect("in fragment");
+        let tree = xmlmap::core::canonical_solution(&m, &doc).unwrap();
+        assert!(
+            streamed == tree,
+            "width {width}: stream and tree chase differ"
+        );
+    }
 }
 
 #[test]
