@@ -10,7 +10,7 @@
 //! `speedup` sections, so a perf change carries its own before/after
 //! evidence in one artefact.
 
-use criterion::measure_median_ns;
+use criterion::measure_samples_ns;
 use std::time::Duration;
 use xmlmap_automata::HedgeAutomaton;
 use xmlmap_core::consistency;
@@ -182,13 +182,18 @@ fn engine_batch_jobs() -> Vec<xmlmap_core::BatchJob> {
     jobs
 }
 
-/// Runs every micro-benchmark, returning `(name, median ns/op)` rows.
-pub fn run_suite() -> Vec<(&'static str, f64)> {
+/// The spread of one micro-benchmark's samples: min, median and p90
+/// ns/op.
+pub type Spread = [f64; 3];
+
+/// Runs every micro-benchmark, returning `(name, spread)` rows.
+pub fn run_suite() -> Vec<(&'static str, Spread)> {
     let mut out = Vec::new();
     let mut bench = |name: &'static str, f: &mut dyn FnMut()| {
-        let ns = measure_median_ns(SAMPLES, BUDGET, f);
-        eprintln!("  {name:<40} {:>12.0} ns/op", ns);
-        out.push((name, ns));
+        let ns = measure_samples_ns(SAMPLES, BUDGET, f);
+        let spread = [ns[0], ns[ns.len() / 2], ns[(ns.len() * 9).div_ceil(10) - 1]];
+        eprintln!("  {name:<40} {:>12.0} ns/op", spread[1]);
+        out.push((name, spread));
     };
 
     // Pattern enumeration over the intro document (Fig. 2 row 1).
@@ -316,6 +321,49 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     bench("exchange/reduce_doubling", &mut || {
         let reduced = xmlmap_core::reduce_solution(&reduce_map, &flat_2n);
         assert_eq!(reduced.children(Tree::ROOT).len(), 2 * REDUCE_N);
+    });
+
+    // Document ingest (DESIGN.md §8.7), self-asserting: parse, normalise,
+    // check and drop an exchange document of n pads, then one twice its
+    // size, in the same run. Every step is linear, so the doubling may
+    // cost at most 2.5x the time. Each side takes the fastest of nine
+    // runs, alternating the sizes. At n = 40 000 (2n is twice the
+    // `padded` benchmark document) both trees outgrow the caches, so
+    // the ratio does not jump with whether n still fits.
+    let ingest_dtd = xmlmap_gen::exchange_source_dtd();
+    let padded = |pads: usize| {
+        let mut bytes = Vec::new();
+        xmlmap_gen::write_exchange_xml(pads / 500, 4, pads, &mut bytes).expect("in-memory write");
+        String::from_utf8(bytes).expect("the generator writes UTF-8")
+    };
+    let ingest = |doc: &str| {
+        let mut tree = xmlmap_trees::xml::parse(doc).expect("well-formed");
+        ingest_dtd
+            .normalize_attrs(&mut tree)
+            .expect("attribute sets match");
+        assert!(ingest_dtd.conforms(&tree));
+        tree.size()
+    };
+    let ingest_time = |doc: &str| {
+        let started = std::time::Instant::now();
+        ingest(doc);
+        started.elapsed()
+    };
+    const INGEST_N: usize = 40_000;
+    let (doc_n, doc_2n) = (padded(INGEST_N), padded(2 * INGEST_N));
+    let (mut t_n, mut t_2n) = (Duration::MAX, Duration::MAX);
+    for _ in 0..9 {
+        t_n = t_n.min(ingest_time(&doc_n));
+        t_2n = t_2n.min(ingest_time(&doc_2n));
+    }
+    let ratio = t_2n.as_secs_f64() / t_n.as_secs_f64();
+    eprintln!("  ingest doubling: {t_n:?} -> {t_2n:?} ({ratio:.2}x)");
+    assert!(
+        ratio <= 2.5,
+        "ingesting 2n pads took {ratio:.2}x the time of n ({t_2n:?} vs {t_n:?})"
+    );
+    bench("ingest/padded_doubling", &mut || {
+        assert!(ingest(&doc_2n) > 2 * INGEST_N);
     });
 
     // ---- consistency micro-suite (type-fixpoint engine workloads) ----
@@ -693,8 +741,28 @@ pub fn read_baseline(path: &str) -> Option<Vec<(String, f64)>> {
     Some(rows)
 }
 
-/// Renders the `BENCH_eval.json` document.
-pub fn render_json(baseline: Option<&[(String, f64)]>, current: &[(&'static str, f64)]) -> String {
+/// The machine a run measured: CPU model and available parallelism.
+pub fn host() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{cpu}, {threads} threads")
+}
+
+/// Renders the `BENCH_eval.json` document: the host, then `baseline`,
+/// `current` (medians) and `speedup` objects, then each row's spread as
+/// `[min, median, p90]` ns/op.
+pub fn render_json(
+    baseline: Option<&[(String, f64)]>,
+    current: &[(&'static str, Spread)],
+    host: &str,
+) -> String {
     fn obj(rows: &[(&str, f64)]) -> String {
         let fields: Vec<String> = rows
             .iter()
@@ -702,13 +770,15 @@ pub fn render_json(baseline: Option<&[(String, f64)]>, current: &[(&'static str,
             .collect();
         format!("{{\n{}\n  }}", fields.join(",\n"))
     }
+    let medians: Vec<(&str, f64)> = current.iter().map(|(n, s)| (*n, s[1])).collect();
     let mut s = String::from("{\n");
     s.push_str("  \"unit\": \"median ns per op\",\n");
     s.push_str("  \"command\": \"cargo run --release -p xmlmap-bench --bin tables -- --json\",\n");
+    s.push_str(&format!("  \"host\": {host:?},\n"));
     if let Some(base) = baseline {
         let base_rows: Vec<(&str, f64)> = base.iter().map(|(n, ns)| (n.as_str(), *ns)).collect();
         s.push_str(&format!("  \"baseline\": {},\n", obj(&base_rows)));
-        let speedups: Vec<(&str, f64)> = current
+        let speedups: Vec<(&str, f64)> = medians
             .iter()
             .filter_map(|(name, ns)| {
                 let b = base.iter().find(|(bn, _)| bn == name)?.1;
@@ -716,13 +786,21 @@ pub fn render_json(baseline: Option<&[(String, f64)]>, current: &[(&'static str,
             })
             .collect();
         s.push_str(&format!(
-            "  \"current\": {},\n  \"speedup\": {}\n",
-            obj(current),
+            "  \"current\": {},\n  \"speedup\": {},\n",
+            obj(&medians),
             obj(&speedups)
         ));
     } else {
-        s.push_str(&format!("  \"current\": {}\n", obj(current)));
+        s.push_str(&format!("  \"current\": {},\n", obj(&medians)));
     }
+    let spreads: Vec<String> = current
+        .iter()
+        .map(|(name, [lo, mid, hi])| format!("    \"{name}\": [{lo:.1}, {mid:.1}, {hi:.1}]"))
+        .collect();
+    s.push_str(&format!(
+        "  \"spread\": {{\n{}\n  }}\n",
+        spreads.join(",\n")
+    ));
     s.push_str("}\n");
     s
 }
@@ -791,13 +869,14 @@ pub fn run_json(capture_baseline: bool, gate: Option<&str>) -> bool {
             .unwrap_or_else(|| panic!("--gate {path}: no parseable \"current\" section"))
     });
     eprintln!("running eval micro-benchmarks ({SAMPLES} samples each)…");
-    let current = run_suite();
+    let rows = run_suite();
+    let current: Vec<(&'static str, f64)> = rows.iter().map(|(n, s)| (*n, s[1])).collect();
     if capture_baseline {
         write_baseline("BENCH_baseline.txt", &current).expect("write BENCH_baseline.txt");
         eprintln!("captured baseline -> BENCH_baseline.txt");
     }
     let baseline = read_baseline("BENCH_baseline.txt");
-    let json = render_json(baseline.as_deref(), &current);
+    let json = render_json(baseline.as_deref(), &rows, &host());
     std::fs::write("BENCH_eval.json", &json).expect("write BENCH_eval.json");
     println!("{json}");
     eprintln!("wrote BENCH_eval.json");
@@ -832,17 +911,23 @@ mod tests {
     #[test]
     fn json_rendering_with_baseline() {
         let base = vec![("a/b".to_string(), 300.0)];
-        let cur = vec![("a/b", 100.0)];
-        let json = render_json(Some(&base), &cur);
+        let cur = vec![("a/b", [90.0, 100.0, 130.0])];
+        let json = render_json(Some(&base), &cur, "test CPU, 2 threads");
         assert!(json.contains("\"baseline\""));
         assert!(json.contains("\"a/b\": 3.0"), "{json}");
+        assert!(json.contains("\"host\": \"test CPU, 2 threads\""), "{json}");
+        assert!(json.contains("\"a/b\": [90.0, 100.0, 130.0]"), "{json}");
     }
 
     #[test]
     fn committed_current_roundtrip_and_gate() {
         let base = vec![("a/b".to_string(), 300.0), ("c/d".to_string(), 50.0)];
-        let cur = vec![("a/b", 100.0), ("c/d", 120.0), ("new/row", 7.0)];
-        let json = render_json(Some(&base), &cur);
+        let cur = vec![
+            ("a/b", [100.0; 3]),
+            ("c/d", [110.0, 120.0, 130.0]),
+            ("new/row", [7.0; 3]),
+        ];
+        let json = render_json(Some(&base), &cur, "test CPU, 2 threads");
         let dir = std::env::temp_dir().join("xmlmap_gate_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("committed.json");

@@ -712,7 +712,7 @@ impl IncrementalChase {
             stats: DeltaStats::default(),
         };
         for n in s.doc.nodes().collect::<Vec<_>>() {
-            if !s.node_conforms(n) {
+            if !s.mapping.source_dtd.node_conforms(&s.doc, n) {
                 s.violations.insert(n);
             }
         }
@@ -808,7 +808,7 @@ impl IncrementalChase {
         let mut region: BTreeSet<Name> = BTreeSet::new();
         for n in self.doc.descendants_or_self(new_root).collect::<Vec<_>>() {
             region.insert(self.doc.label(n).clone());
-            if !self.node_conforms(n) {
+            if !self.mapping.source_dtd.node_conforms(&self.doc, n) {
                 self.violations.insert(n);
             }
         }
@@ -887,40 +887,10 @@ impl IncrementalChase {
 
     /// Re-checks one node's DTD conformance and updates the violation set.
     fn revalidate(&mut self, n: NodeId) {
-        if self.node_conforms(n) {
+        if self.mapping.source_dtd.node_conforms(&self.doc, n) {
             self.violations.remove(&n);
         } else {
             self.violations.insert(n);
-        }
-    }
-
-    /// Local conformance of one node: known label (and the root label for
-    /// the root), exact attribute names in order, children word in the
-    /// production language. The document conforms iff every reachable
-    /// node passes — the same verdict as `Dtd::check`.
-    fn node_conforms(&self, n: NodeId) -> bool {
-        let dtd = &self.mapping.source_dtd;
-        let label = self.doc.label(n);
-        if n == Tree::ROOT && label != dtd.root() {
-            return false;
-        }
-        if !dtd.contains(label) {
-            return false;
-        }
-        let expected = dtd.attrs(label);
-        let found = self.doc.attrs(n);
-        if found.len() != expected.len() || found.iter().zip(expected).any(|((a, _), b)| a != b) {
-            return false;
-        }
-        let word: Vec<Name> = self
-            .doc
-            .children(n)
-            .iter()
-            .map(|&c| self.doc.label(c).clone())
-            .collect();
-        match dtd.horizontal(label) {
-            Some(nfa) => nfa.accepts(&word),
-            None => word.is_empty(),
         }
     }
 
@@ -931,24 +901,8 @@ impl IncrementalChase {
     /// would fail normalization are left as-is — they surface as
     /// conformance violations, exactly like the re-parsed document would.
     fn normalize_fragment(&self, sub: &mut Tree) {
-        let dtd = &self.mapping.source_dtd;
         for n in sub.nodes().collect::<Vec<_>>() {
-            let label = sub.label(n).clone();
-            if !dtd.contains(&label) {
-                continue;
-            }
-            let expected = dtd.attrs(&label);
-            let current = sub.attrs(n).to_vec();
-            if current.len() != expected.len() {
-                continue;
-            }
-            let reordered: Option<Vec<(Name, Value)>> = expected
-                .iter()
-                .map(|want| current.iter().find(|(a, _)| a == want).cloned())
-                .collect();
-            if let Some(attrs) = reordered {
-                sub.set_attrs(n, attrs);
-            }
+            self.mapping.source_dtd.normalize_node(sub, n);
         }
     }
 
@@ -1200,5 +1154,61 @@ delete 0
         assert!(back.approx_bytes() > 0);
         let mut s = IncrementalChase::with_plan(m, tree!("r"["a"("v" = "1")]), Arc::new(back));
         assert_in_sync(&mut s);
+    }
+
+    #[test]
+    fn revalidating_a_wide_root_is_cheap() {
+        // Deleting and reinserting an inert pad revalidates the root's
+        // whole children word on the dense kernel: a few ns per child, so
+        // a pair under a 40 000-child root takes about 1 ms in release
+        // (0.45 ms per apply). The cost must stay linear in the children:
+        // at most 100x a 1 000-child root (40x is linear, 1 600x
+        // quadratic).
+        let m = mapping(
+            "root r\nr -> a*, pad*\na @ v\npad @ a, b",
+            "root r\nr -> b*\nb @ w",
+            &["r/a(x) --> r/b(x)"],
+        );
+        // Reinserted pads list their attributes out of order, so the
+        // insert also runs the fragment normalisation.
+        let pad = tree!("pad"("b" = "y", "a" = "x"));
+        // The document's pads share their names, as a parsed document's
+        // do (the SAX reader interns them).
+        let names = [Name::new("pad"), Name::new("a"), Name::new("b")];
+        let session = |pads: usize| {
+            let mut t = tree!("r" [ "a"("v" = "1"), "a"("v" = "2") ]);
+            for _ in 0..pads {
+                let attrs = [(names[1].clone(), "x"), (names[2].clone(), "y")];
+                t.add_child(Tree::ROOT, names[0].clone(), attrs);
+            }
+            IncrementalChase::new(&m, t)
+        };
+        // Fastest of several delete/reinsert pairs in the middle of the pads.
+        let pair_time = |s: &mut IncrementalChase| {
+            let mid = s.doc().children(Tree::ROOT).len() / 2;
+            (0..15)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let n = s.doc().children(Tree::ROOT)[mid];
+                    s.delete_subtree(n).unwrap();
+                    s.insert_subtree(Tree::ROOT, mid, &pad).unwrap();
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (mut small, mut wide) = (session(1_000), session(40_000));
+        let (mut t_small, mut t_wide) = (pair_time(&mut small), pair_time(&mut wide));
+        for _ in 0..2 {
+            t_small = t_small.min(pair_time(&mut small));
+            t_wide = t_wide.min(pair_time(&mut wide));
+        }
+        assert!(small.source_conforms() && wide.source_conforms());
+        assert_in_sync(&mut small);
+        let ratio = t_wide.as_secs_f64() / t_small.as_secs_f64();
+        assert!(
+            ratio <= 100.0,
+            "40x the children cost {ratio:.1}x the time ({t_wide:?} vs {t_small:?})"
+        );
     }
 }

@@ -33,7 +33,7 @@ use xmlmap_codec::{checksum, Decoder, Encoder};
 use xmlmap_regex::FastHasher;
 
 /// Bump whenever the serialized form of *any* artifact family changes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"XMAP";
 

@@ -183,6 +183,18 @@ impl Bencher {
 /// Median ns/iteration of `routine` over `samples` batches within roughly
 /// `budget` total measurement time.
 pub fn measure_median_ns(samples: usize, budget: Duration, routine: &mut dyn FnMut()) -> f64 {
+    let sample_ns = measure_samples_ns(samples, budget, routine);
+    let mid = sample_ns.len() / 2;
+    if sample_ns.len() % 2 == 1 {
+        sample_ns[mid]
+    } else {
+        (sample_ns[mid - 1] + sample_ns[mid]) / 2.0
+    }
+}
+
+/// The ns/iteration of `routine` in each of `samples` batches within
+/// roughly `budget` total measurement time, sorted ascending.
+pub fn measure_samples_ns(samples: usize, budget: Duration, routine: &mut dyn FnMut()) -> Vec<f64> {
     // Warm-up + estimate: run until 2ms or 3 iterations.
     let mut iters_done = 0u64;
     let warmup = Instant::now();
@@ -206,12 +218,7 @@ pub fn measure_median_ns(samples: usize, budget: Duration, routine: &mut dyn FnM
         sample_ns.push(start.elapsed().as_nanos() as f64 / batch as f64);
     }
     sample_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mid = sample_ns.len() / 2;
-    if sample_ns.len() % 2 == 1 {
-        sample_ns[mid]
-    } else {
-        (sample_ns[mid - 1] + sample_ns[mid]) / 2.0
-    }
+    sample_ns
 }
 
 /// Compact human formatting of a nanosecond quantity.

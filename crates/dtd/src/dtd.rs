@@ -5,6 +5,7 @@
 //! convention that "attributes come in some order, just like in the
 //! relational case", so a node can be written `ℓ(a₁, …, aₙ)`.
 
+use crate::conformance::Kernel;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -14,8 +15,9 @@ use xmlmap_trees::Name;
 /// A Document Type Definition.
 ///
 /// Construct with [`DtdBuilder`] (or [`crate::parse()`](crate::parse())); the builder compiles
-/// every production into a Glushkov NFA so conformance checks don't pay
-/// per-call automaton construction.
+/// every production into a Glushkov NFA, and those into the dense per-label
+/// tables of the conformance kernel, so checks don't pay per-call
+/// automaton construction.
 #[derive(Clone)]
 pub struct Dtd {
     pub(crate) root: Name,
@@ -25,6 +27,8 @@ pub struct Dtd {
     pub(crate) compiled: BTreeMap<Name, Arc<Nfa<Name>>>,
     /// All element types: production LHSs plus every symbol they mention.
     pub(crate) alphabet: BTreeSet<Name>,
+    /// The dense per-label tables every conformance check runs on.
+    pub(crate) kernel: Arc<Kernel>,
 }
 
 impl Dtd {
@@ -226,17 +230,24 @@ impl DtdBuilder {
             alphabet.extend(r.symbols());
         }
         alphabet.extend(self.attributes.keys().cloned());
-        let compiled = self
+        let compiled: BTreeMap<Name, Arc<Nfa<Name>>> = self
             .productions
             .iter()
             .map(|(l, r)| (l.clone(), Arc::new(Nfa::from_regex(r))))
             .collect();
+        let kernel = Arc::new(Kernel::new(
+            &alphabet,
+            &self.root,
+            &self.attributes,
+            &compiled,
+        ));
         Ok(Dtd {
             root: self.root,
             productions: self.productions,
             attributes: self.attributes,
             compiled,
             alphabet,
+            kernel,
         })
     }
 }

@@ -1,19 +1,19 @@
-//! The per-DTD compiled artifact: interned labels and dense production NFAs.
+//! Dense production NFAs and the per-DTD index built on them.
 //!
-//! [`DtdIndex`] interns the alphabet into dense `u32` ids, compiles every
-//! production's Glushkov NFA into a symbol-grouped [`DenseNfa`] whose subset
-//! states are flat `[u64]` bitmasks, and records the label dependency graph.
-//! It began life inside the `xmlmap-patterns` satisfiability engine; it now
-//! lives here, next to the DTD itself, because it is the shared substrate of
-//! *every* automaton-shaped consumer: the type-fixpoint engine downstream,
-//! and the streaming conformance validator in [`crate::stream`] which runs
-//! one `DenseNfa` subset per open element.
+//! Every [`Dtd`] interns its alphabet into dense `u32` ids and compiles
+//! each production's Glushkov NFA into a symbol-grouped [`DenseNfa`] whose
+//! subset states are flat `[u64]` bitmasks — the conformance kernel of
+//! [`crate::conformance`], which the tree checks and the streaming
+//! validator in [`crate::stream`] run on. [`DtdIndex`] exposes those tables
+//! to the type-fixpoint engine downstream and adds the arity table and the
+//! label dependency graph it needs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use xmlmap_codec::{CodecError, Decoder, Encoder};
 use xmlmap_regex::Nfa;
-use xmlmap_trees::Name;
+use xmlmap_trees::{Name, NameTable};
 
+use crate::conformance::Run;
 use crate::dtd::Dtd;
 
 /// Reads bit `i` of a flat `[u64]` bitmask.
@@ -44,7 +44,7 @@ pub struct DenseNfa {
 }
 
 impl DenseNfa {
-    pub(crate) fn new(nfa: &Nfa<Name>, label_id: &HashMap<Name, u32>) -> DenseNfa {
+    pub(crate) fn new(nfa: &Nfa<Name>, labels: &NameTable) -> DenseNfa {
         let n = nfa.accepting.len();
         let words = n.div_ceil(64).max(1);
         let mut accepting = vec![0u64; words];
@@ -58,7 +58,7 @@ impl DenseNfa {
             for (sym, q2) in trans {
                 // Symbols outside the alphabet can never label an
                 // achievable pair; drop their edges.
-                if let Some(&sid) = label_id.get(sym) {
+                if let Some(sid) = labels.find(sym.as_str().as_bytes()) {
                     by.entry(sid).or_default().push((q as u32, *q2 as u32));
                 }
             }
@@ -70,6 +70,63 @@ impl DenseNfa {
             syms,
             edges,
         }
+    }
+
+    /// Steps subset `from` on label id `sym` into `to` (both `words`
+    /// long); returns whether `to` is non-empty.
+    pub(crate) fn step(&self, from: &[u64], sym: u32, to: &mut [u64]) -> bool {
+        to.fill(0);
+        let mut alive = false;
+        for &(q, q2) in self.edges_for(sym).unwrap_or(&[]) {
+            if get_bit(from, q as usize) {
+                set_bit(to, q2 as usize);
+                alive = true;
+            }
+        }
+        alive
+    }
+
+    /// Does subset `state` contain an accepting state?
+    pub(crate) fn accepts_state(&self, state: &[u64]) -> bool {
+        state
+            .iter()
+            .zip(self.accepting.iter())
+            .any(|(s, a)| s & a != 0)
+    }
+
+    /// The Glushkov initial subset `{0}` in `state`.
+    pub(crate) fn start(&self, state: &mut Vec<u64>) {
+        state.clear();
+        state.resize(self.words, 0);
+        state[0] = 1;
+    }
+
+    /// Is the word of label ids accepted? Automata of one word step a
+    /// `u64` in registers; wider ones alternate `run`'s two buffers.
+    pub(crate) fn accepts(&self, word: impl IntoIterator<Item = u32>, run: &mut Run) -> bool {
+        if self.words == 1 {
+            let mut state = 1u64;
+            for sym in word {
+                let mut next = 0u64;
+                for &(q, q2) in self.edges_for(sym).unwrap_or(&[]) {
+                    next |= (state >> q & 1) << q2;
+                }
+                if next == 0 {
+                    return false;
+                }
+                state = next;
+            }
+            return state & self.accepting[0] != 0;
+        }
+        self.start(&mut run.cur);
+        run.next.resize(self.words, 0);
+        for sym in word {
+            if !self.step(&run.cur, sym, &mut run.next) {
+                return false;
+            }
+            std::mem::swap(&mut run.cur, &mut run.next);
+        }
+        self.accepts_state(&run.cur)
     }
 
     /// Words in a subset bitmask for this automaton.
@@ -100,41 +157,6 @@ impl DenseNfa {
         self.syms.binary_search(&sym).is_ok()
     }
 
-    fn encode(&self, e: &mut Encoder) {
-        e.usize(self.words);
-        e.u64s(&self.accepting);
-        e.u32s(&self.syms);
-        for edges in &self.edges {
-            e.usize(edges.len());
-            for &(from, to) in edges {
-                e.u32(from);
-                e.u32(to);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<DenseNfa, CodecError> {
-        let words = d.usize()?;
-        let accepting = d.u64s()?.into_boxed_slice();
-        if accepting.len() != words {
-            return Err(CodecError::Malformed("DenseNfa accepting-word count"));
-        }
-        let syms = d.u32s()?;
-        let edges = syms
-            .iter()
-            .map(|_| {
-                let n = d.usize()?;
-                (0..n).map(|_| Ok((d.u32()?, d.u32()?))).collect()
-            })
-            .collect::<Result<Vec<Vec<(u32, u32)>>, CodecError>>()?;
-        Ok(DenseNfa {
-            words,
-            accepting,
-            syms,
-            edges,
-        })
-    }
-
     fn approx_bytes(&self) -> u64 {
         (self.accepting.len() * 8
             + self.syms.capacity() * 4
@@ -144,45 +166,32 @@ impl DenseNfa {
 
 /// The per-DTD compiled artifact: interned labels, per-label dense
 /// production NFAs, and the label dependency graph. Reusable across
-/// pattern sets and engines — callers hold one behind an `Arc`.
+/// pattern sets and engines — callers hold one behind an `Arc`. The labels
+/// and NFAs are the DTD's own conformance kernel; the index adds the
+/// arity table and the dependency graph.
 pub struct DtdIndex {
     dtd: Dtd,
-    labels: Vec<Name>,
-    root: u32,
     arities: Vec<usize>,
-    nfas: Vec<DenseNfa>,
     /// `dependents[s]` = labels whose production mentions label `s`.
     dependents: Vec<Vec<u32>>,
 }
 
 impl DtdIndex {
-    /// Compiles `dtd`: interns labels, densifies every production NFA and
-    /// builds the label dependency graph.
+    /// Indexes `dtd`: takes its interned labels and dense production NFAs
+    /// and builds the label dependency graph.
     pub fn new(dtd: &Dtd) -> DtdIndex {
-        let labels: Vec<Name> = dtd.alphabet().cloned().collect();
-        let label_id: HashMap<Name, u32> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
-        let root = label_id[dtd.root()];
-        let arities: Vec<usize> = labels.iter().map(|l| dtd.arity(l)).collect();
-        let epsilon = Nfa::epsilon();
-        let mut nfas = Vec::with_capacity(labels.len());
-        let mut dependents = vec![Vec::new(); labels.len()];
-        for (lid, l) in labels.iter().enumerate() {
-            let dense = DenseNfa::new(dtd.horizontal(l).unwrap_or(&epsilon), &label_id);
-            for &s in &dense.syms {
+        let k = &dtd.kernel;
+        let n = k.labels.len();
+        let arities = (0..n as u32).map(|id| k.attrs(id).len()).collect();
+        let mut dependents = vec![Vec::new(); n];
+        for (lid, nfa) in k.nfas.iter().enumerate() {
+            for &s in &nfa.syms {
                 dependents[s as usize].push(lid as u32);
             }
-            nfas.push(dense);
         }
         DtdIndex {
             dtd: dtd.clone(),
-            labels,
-            root,
             arities,
-            nfas,
             dependents,
         }
     }
@@ -194,12 +203,12 @@ impl DtdIndex {
 
     /// Interned labels; `labels()[lid]` is the label with id `lid`.
     pub fn labels(&self) -> &[Name] {
-        &self.labels
+        self.dtd.kernel.labels.names()
     }
 
     /// The interned id of the root element type.
     pub fn root(&self) -> u32 {
-        self.root
+        self.dtd.kernel.root
     }
 
     /// Per-label declared attribute count, indexed by label id.
@@ -209,7 +218,7 @@ impl DtdIndex {
 
     /// Per-label dense production NFAs, indexed by label id.
     pub fn nfas(&self) -> &[DenseNfa] {
-        &self.nfas
+        &self.dtd.kernel.nfas
     }
 
     /// Labels whose production mentions label `s`.
@@ -217,85 +226,29 @@ impl DtdIndex {
         &self.dependents[s as usize]
     }
 
-    /// Serializes the index: the DTD's canonical text (its display form
-    /// round-trips through the parser) plus every derived table verbatim,
-    /// so deserialization reparses the small schema text but never re-runs
-    /// NFA densification or dependency analysis.
+    /// Serializes the index as the DTD's canonical text (its display form
+    /// round-trips through the parser); every table is derived from it.
     pub fn encode(&self, e: &mut Encoder) {
         e.str(&self.dtd.to_string());
-        e.usize(self.labels.len());
-        for l in &self.labels {
-            e.str(l.as_str());
-        }
-        e.u32(self.root);
-        for &a in &self.arities {
-            e.usize(a);
-        }
-        for nfa in &self.nfas {
-            nfa.encode(e);
-        }
-        for deps in &self.dependents {
-            e.u32s(deps);
-        }
     }
 
-    /// Inverse of [`DtdIndex::encode`]. Cheap structural sanity checks
-    /// only — the artifact store's checksum envelope is what guards
-    /// against corruption.
+    /// Inverse of [`DtdIndex::encode`]. The artifact store's checksum
+    /// envelope is what guards against corruption.
     pub fn decode(d: &mut Decoder<'_>) -> Result<DtdIndex, CodecError> {
-        let text = d.str()?;
-        let dtd = crate::parse(&text)
+        let dtd = crate::parse(&d.str()?)
             .map_err(|_| CodecError::Malformed("DtdIndex schema text does not parse"))?;
-        let n = d.usize()?;
-        if n > text.len().max(1) * 2 {
-            // A DTD cannot declare more labels than its text has characters.
-            return Err(CodecError::Malformed("DtdIndex label count"));
-        }
-        let labels: Vec<Name> = (0..n)
-            .map(|_| Ok(Name::new(d.str()?)))
-            .collect::<Result<_, CodecError>>()?;
-        let root = d.u32()?;
-        if root as usize >= n {
-            return Err(CodecError::Malformed("DtdIndex root id"));
-        }
-        let arities: Vec<usize> = (0..n).map(|_| d.usize()).collect::<Result<_, _>>()?;
-        let nfas: Vec<DenseNfa> = (0..n)
-            .map(|_| DenseNfa::decode(d))
-            .collect::<Result<_, _>>()?;
-        if nfas
-            .iter()
-            .any(|nfa| nfa.syms.iter().any(|&s| s as usize >= n))
-        {
-            return Err(CodecError::Malformed("DenseNfa symbol out of range"));
-        }
-        let dependents: Vec<Vec<u32>> = (0..n)
-            .map(|_| {
-                let deps = d.u32s()?;
-                if deps.iter().any(|&l| l as usize >= n) {
-                    return Err(CodecError::Malformed("DtdIndex dependent out of range"));
-                }
-                Ok(deps)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(DtdIndex {
-            dtd,
-            labels,
-            root,
-            arities,
-            nfas,
-            dependents,
-        })
+        Ok(DtdIndex::new(&dtd))
     }
 
     /// Approximate heap footprint in bytes (label strings, arity table,
     /// dense production NFAs, dependency lists).
     pub fn approx_bytes(&self) -> u64 {
-        self.labels
+        self.labels()
             .iter()
             .map(|l| l.as_str().len() as u64 + 16)
             .sum::<u64>()
             + self.arities.capacity() as u64 * 8
-            + self.nfas.iter().map(DenseNfa::approx_bytes).sum::<u64>()
+            + self.nfas().iter().map(DenseNfa::approx_bytes).sum::<u64>()
             + self
                 .dependents
                 .iter()

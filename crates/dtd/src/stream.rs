@@ -3,12 +3,12 @@
 //! [`StreamValidator`] consumes the open/close events of a SAX pass (e.g.
 //! [`xmlmap_trees::SaxReader`]) and decides conformance without ever
 //! materialising the document: each *open* element owns one subset state of
-//! its label's compiled content-model NFA (the [`crate::index::DtdIndex`]
-//! dense tables shared with the satisfiability engine), kept on a
-//! depth-bounded frame stack whose buffers are pooled across siblings. A
-//! violation — wrong root, unknown label, wrong attribute set, or a child
-//! word falling out of the production language — rejects immediately, at the
-//! first offending byte of the document.
+//! its label's compiled content-model NFA (the DTD's conformance kernel,
+//! which [`crate::index::DtdIndex`] shares with the satisfiability engine),
+//! kept on a depth-bounded frame stack whose buffers are pooled across
+//! siblings. A violation — wrong root, unknown label, wrong attribute set,
+//! or a child word falling out of the production language — rejects
+//! immediately, at the first offending byte of the document.
 //!
 //! Verdicts agree with the arena pipeline `normalize_attrs` +
 //! [`crate::Dtd::check`]: attributes are compared as *sets* (documents list
@@ -17,8 +17,8 @@
 //! document for unknown labels first, while the streaming checker reports
 //! the first violation in strict document order.
 
-use crate::index::{get_bit, DtdIndex};
-use std::collections::HashMap;
+use crate::conformance::AttrMatch;
+use crate::index::DtdIndex;
 use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
@@ -164,7 +164,6 @@ struct Frame {
 /// grows to the document's peak depth and is reused across siblings.
 pub struct StreamValidator {
     idx: Arc<DtdIndex>,
-    label_id: HashMap<Name, u32>,
     /// Frame storage; `stack[..depth]` are live, the rest is the pool.
     stack: Vec<Frame>,
     depth: usize,
@@ -177,15 +176,8 @@ impl StreamValidator {
     /// Builds a validator over a compiled DTD index. The index is the
     /// compile-once artifact; validators are cheap per-document cursors.
     pub fn new(idx: Arc<DtdIndex>) -> StreamValidator {
-        let label_id = idx
-            .labels()
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
         StreamValidator {
             idx,
-            label_id,
             stack: Vec::new(),
             depth: 0,
             scratch: Vec::new(),
@@ -208,68 +200,55 @@ impl StreamValidator {
     /// against `A_D(label)` (the canonical-order normalisation the arena
     /// pipeline applies before checking).
     pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) -> Result<(), StreamViolation> {
-        let lid = match self.label_id.get(label) {
-            Some(&lid) => lid,
+        let k = &*self.idx.dtd().kernel;
+        let root = || self.idx.dtd().root().clone();
+        let lid = match k.id(label) {
+            Some(lid) => lid,
+            None if self.depth == 0 => {
+                return Err(StreamViolation::WrongRoot {
+                    found: label.clone(),
+                    expected: root(),
+                })
+            }
             None => {
-                if self.depth == 0 && label != self.idx.dtd().root() {
-                    return Err(StreamViolation::WrongRoot {
-                        found: label.clone(),
-                        expected: self.idx.dtd().root().clone(),
-                    });
-                }
                 return Err(StreamViolation::UnknownLabel {
                     label: label.clone(),
-                });
+                })
             }
         };
         if self.depth == 0 {
-            if lid != self.idx.root() {
+            if lid != k.root {
                 return Err(StreamViolation::WrongRoot {
                     found: label.clone(),
-                    expected: self.idx.dtd().root().clone(),
+                    expected: root(),
                 });
             }
         } else {
             // Step the parent's content-model subset on this child label;
             // an empty subset means no conforming continuation exists.
             let parent = &mut self.stack[self.depth - 1];
-            let nfa = &self.idx.nfas()[parent.lid as usize];
-            self.scratch.clear();
+            let nfa = &k.nfas[parent.lid as usize];
             self.scratch.resize(nfa.words(), 0);
-            let mut alive = false;
-            if let Some(edges) = nfa.edges_for(lid) {
-                for &(from, to) in edges {
-                    if get_bit(&parent.state, from as usize) {
-                        self.scratch[to as usize / 64] |= 1 << (to as usize % 64);
-                        alive = true;
-                    }
-                }
-            }
-            if !alive {
+            if !nfa.step(&parent.state, lid, &mut self.scratch) {
                 return Err(StreamViolation::BadChildren {
-                    label: self.idx.labels()[parent.lid as usize].clone(),
+                    label: k.labels.name(parent.lid).clone(),
                     child: Some(label.clone()),
                 });
             }
             parent.state.copy_from_slice(&self.scratch);
         }
 
-        let expected = self.idx.dtd().attrs(label);
-        let set_ok = attrs.len() == expected.len()
-            && expected
-                .iter()
-                .all(|want| attrs.iter().any(|(a, _)| a == want));
-        if !set_ok {
+        if k.attr_match(lid, attrs) == AttrMatch::Mismatch {
             return Err(StreamViolation::WrongAttributes {
                 label: label.clone(),
                 found: attrs.iter().map(|(a, _)| a.clone()).collect(),
-                expected: expected.to_vec(),
+                expected: k.attrs(lid).to_vec(),
             });
         }
 
         // Push a frame with the Glushkov initial subset {0}, reusing a
         // pooled buffer when one is available.
-        let words = self.idx.nfas()[lid as usize].words();
+        let nfa = &k.nfas[lid as usize];
         if self.depth == self.stack.len() {
             self.stack.push(Frame {
                 lid,
@@ -278,11 +257,9 @@ impl StreamValidator {
         }
         let frame = &mut self.stack[self.depth];
         frame.lid = lid;
-        frame.state.clear();
-        frame.state.resize(words, 0);
-        frame.state[0] = 1;
+        nfa.start(&mut frame.state);
         self.depth += 1;
-        self.live_bytes += (words * 8 + std::mem::size_of::<Frame>()) as u64;
+        self.live_bytes += (nfa.words() * 8 + std::mem::size_of::<Frame>()) as u64;
         self.stats.elements += 1;
         self.stats.peak_depth = self.stats.peak_depth.max(self.depth);
         self.stats.peak_state_bytes = self
@@ -296,16 +273,12 @@ impl StreamValidator {
     /// content-model subset in an accepting state.
     pub fn close(&mut self) -> Result<(), StreamViolation> {
         assert!(self.depth > 0, "close without matching open");
+        let k = &*self.idx.dtd().kernel;
         let frame = &self.stack[self.depth - 1];
-        let nfa = &self.idx.nfas()[frame.lid as usize];
-        let accepted = frame
-            .state
-            .iter()
-            .zip(nfa.accepting())
-            .any(|(s, a)| s & a != 0);
-        if !accepted {
+        let nfa = &k.nfas[frame.lid as usize];
+        if !nfa.accepts_state(&frame.state) {
             return Err(StreamViolation::BadChildren {
-                label: self.idx.labels()[frame.lid as usize].clone(),
+                label: k.labels.name(frame.lid).clone(),
                 child: None,
             });
         }

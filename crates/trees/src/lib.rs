@@ -14,7 +14,8 @@
 //! The crate provides:
 //! * [`Tree`]/[`NodeId`] — an arena-based document with all four navigation
 //!   axes used by the mapping language (`↓`, `↓*`, `→`, `→*`);
-//! * [`Name`] — interned element-type/attribute names;
+//! * [`Name`] — interned element-type/attribute names, and [`NameTable`],
+//!   a byte-keyed table of them with dense ids;
 //! * [`Value`] — data values (constants and labelled nulls for the chase);
 //! * [`xml`] — a reader/writer for the element+attribute XML fragment;
 //! * [`sax`] — a pull-based event reader over the same fragment for
@@ -27,7 +28,7 @@ pub mod tree;
 pub mod value;
 pub mod xml;
 
-pub use name::{name, Name};
+pub use name::{name, Name, NameTable};
 pub use sax::{SaxEvent, SaxReader};
 pub use tree::{isomorphic_mod_nulls, subtree_hashes, subtrees_equal, NodeId, Tree};
 pub use value::{NullFactory, Value};

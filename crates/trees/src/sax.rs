@@ -2,30 +2,43 @@
 //!
 //! [`SaxReader`] yields [`SaxEvent::Open`]/[`SaxEvent::Close`] events from
 //! any [`std::io::Read`] source without ever materialising a [`crate::Tree`]:
-//! the reader keeps a bounded rolling byte buffer plus one interned label per
-//! *open* element, so memory is O(depth + chunk), not O(document). This is
-//! the entry point for streaming DTD conformance (`xmlmap-dtd`) and streaming
-//! pattern evaluation (`xmlmap-patterns`) over documents that don't fit the
-//! arena.
+//! the reader keeps a rolling byte buffer, one label per *open* element and
+//! a capped name table, so memory is O(depth + chunk), not O(document). This
+//! is the entry point for streaming DTD conformance (`xmlmap-dtd`) and
+//! streaming pattern evaluation (`xmlmap-patterns`) over documents that don't
+//! fit the arena.
 //!
 //! The dialect is exactly the one of [`crate::xml`] — in fact
-//! [`crate::xml::parse`] is now a thin arena builder driven by this reader,
-//! so entity handling, attribute parsing, and diagnostics are shared, not
+//! [`crate::xml::parse`] is a thin arena builder driven by this reader, so
+//! entity handling, attribute parsing, and diagnostics are shared, not
 //! duplicated. In particular: elements and attributes only (text content is
 //! rejected — the fragment has no text events), the five predefined entities,
-//! comments and processing instructions skipped, duplicate attributes
-//! rejected, and a single root element.
+//! attribute values decoded as UTF-8, comments and processing instructions
+//! skipped, duplicate attributes rejected, and a single root element.
+//!
+//! Scanning works on runs, not bytes. Whitespace, comments and processing
+//! instructions are skipped a buffered run at a time. A tag is parsed
+//! straight off the buffered slice; when it runs past the buffered bytes,
+//! the reader refills (at least doubling what it holds of the tag) and
+//! parses the tag again, so every tag is parsed by one grammar whatever the
+//! chunking. Line and column advance once per consumed run. Element and
+//! attribute names are interned in a per-reader table of at most
+//! [`INTERN_NAMES`] names, so a repeated name costs a reference-count bump.
 
-use crate::name::Name;
+use crate::name::{Name, NameTable};
 use crate::value::Value;
 use crate::xml::XmlError;
 use std::io::Read;
+use std::sync::Arc;
 
 /// Size of one refill of the rolling input buffer.
 const CHUNK: usize = 64 * 1024;
 
-/// Longest fixed token the reader ever looks ahead for (`<!--`).
-const MAX_LOOKAHEAD: usize = 4;
+/// Most names one reader interns; later names are allocated per use.
+pub const INTERN_NAMES: usize = 256;
+
+/// Longest name (in bytes) the reader interns.
+const INTERN_NAME_LEN: usize = 64;
 
 /// One parsing event.
 ///
@@ -56,9 +69,12 @@ pub enum SaxEvent {
 /// [`crate::xml::parse`].
 pub struct SaxReader<R: Read> {
     src: R,
+    /// Input storage; `buf[pos..end]` are the buffered, unconsumed bytes.
     buf: Vec<u8>,
     /// Index of the next unconsumed byte in `buf`.
     pos: usize,
+    /// End of the buffered bytes in `buf`.
+    end: usize,
     /// Bytes discarded before `buf[0]` (for absolute offsets).
     consumed: usize,
     eof: bool,
@@ -72,6 +88,219 @@ pub struct SaxReader<R: Read> {
     root_closed: bool,
     /// High-water mark of `stack.len()`.
     peak_depth: usize,
+    scratch: Scratch,
+}
+
+/// Reader-owned buffers a tag parse reuses.
+#[derive(Default)]
+struct Scratch {
+    /// Interned element and attribute names.
+    names: NameTable,
+    /// Decoding buffer for attribute values that contain entities.
+    text: String,
+    /// The attributes of the tag being parsed.
+    attrs: Vec<(Name, Value)>,
+}
+
+fn is_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':')
+}
+
+/// Why a parse off the buffered slice stopped short.
+enum Stop {
+    /// The construct runs past the buffered bytes; refill and parse again.
+    More,
+    /// A syntax error this many bytes past the construct's start.
+    Bad(usize, String),
+}
+
+/// A position in the buffered slice. Reading past its end yields
+/// [`Stop::More`], or end of input once the source is exhausted.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    eof: bool,
+}
+
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Result<Option<u8>, Stop> {
+        match self.bytes.get(self.at) {
+            Some(&b) => Ok(Some(b)),
+            None if self.eof => Ok(None),
+            None => Err(Stop::More),
+        }
+    }
+
+    fn bad<T>(&self, message: impl Into<String>) -> Result<T, Stop> {
+        Err(Stop::Bad(self.at, message.into()))
+    }
+
+    /// Advances past the longest run of bytes satisfying `keep`.
+    fn run(&mut self, keep: impl Fn(u8) -> bool) -> Result<&'a [u8], Stop> {
+        let start = self.at;
+        let rest = &self.bytes[start..];
+        match rest.iter().position(|&b| !keep(b)) {
+            Some(k) => self.at += k,
+            None if self.eof => self.at = self.bytes.len(),
+            None => return Err(Stop::More),
+        }
+        Ok(&self.bytes[start..self.at])
+    }
+
+    fn skip_ws(&mut self) -> Result<(), Stop> {
+        self.run(is_ws).map(|_| ())
+    }
+
+    fn name(&mut self) -> Result<&'a [u8], Stop> {
+        let name = self.run(is_name_byte)?;
+        if name.is_empty() {
+            return self.bad("expected a name");
+        }
+        Ok(name)
+    }
+
+    fn eat(&mut self, b: u8) -> Result<(), Stop> {
+        if self.peek()? == Some(b) {
+            self.at += 1;
+            Ok(())
+        } else {
+            self.bad(format!("expected {:?}", b as char))
+        }
+    }
+
+    /// `<label attr="v" ...>` or `<label .../>`, from its `<`; returns the
+    /// label and whether the tag closes itself, and leaves the attributes
+    /// in `scratch.attrs`.
+    fn open_tag(&mut self, scratch: &mut Scratch) -> Result<(Name, bool), Stop> {
+        self.at += 1; // '<'
+        let label = intern(&mut scratch.names, self.name()?);
+        let attrs = &mut scratch.attrs;
+        attrs.clear();
+        loop {
+            self.skip_ws()?;
+            match self.peek()? {
+                Some(b'/') | Some(b'>') => break,
+                Some(_) => {
+                    let attr = self.name()?;
+                    self.skip_ws()?;
+                    self.eat(b'=')?;
+                    self.skip_ws()?;
+                    let value = self.quoted_value(&mut scratch.text)?;
+                    if attrs.iter().any(|(a, _)| a.as_str().as_bytes() == attr) {
+                        let attr = std::str::from_utf8(attr).expect("names are ASCII");
+                        return self.bad(format!("duplicate attribute {attr:?}"));
+                    }
+                    attrs.push((intern(&mut scratch.names, attr), value));
+                }
+                None => return self.bad("unterminated start tag"),
+            }
+        }
+        let self_closing = self.peek()? == Some(b'/');
+        if self_closing {
+            self.at += 1;
+        }
+        self.eat(b'>')?;
+        Ok((label, self_closing))
+    }
+
+    /// `</label>`, from its `<`, closing the element labelled `open`.
+    fn close_tag(&mut self, open: &Name) -> Result<(), Stop> {
+        self.at += 2; // "</"
+        if self.name()? != open.as_str().as_bytes() {
+            return self.bad(format!("mismatched close tag: expected </{open}>"));
+        }
+        self.skip_ws()?;
+        self.eat(b'>')
+    }
+
+    /// A quoted attribute value, decoded: runs between entities are
+    /// checked as UTF-8 and copied once. A value without entities becomes
+    /// its `Arc<str>` straight from the input bytes.
+    fn quoted_value(&mut self, scratch: &mut String) -> Result<Value, Stop> {
+        let quote = match self.peek()? {
+            Some(q @ (b'"' | b'\'')) => q,
+            Some(_) => {
+                self.at += 1;
+                return self.bad("expected a quoted attribute value");
+            }
+            None => return self.bad("expected a quoted attribute value"),
+        };
+        self.at += 1;
+        let mut decoded = false;
+        loop {
+            let rest = &self.bytes[self.at..];
+            let Some(k) = rest.iter().position(|&b| b == quote || b == b'&') else {
+                if !self.eof {
+                    return Err(Stop::More);
+                }
+                self.at = self.bytes.len();
+                return self.bad("unterminated attribute value");
+            };
+            let text = match std::str::from_utf8(&rest[..k]) {
+                Ok(text) => text,
+                Err(e) => {
+                    self.at += e.valid_up_to();
+                    return self.bad("invalid UTF-8 in attribute value");
+                }
+            };
+            self.at += k + 1;
+            if rest[k] == quote {
+                return Ok(Value::Str(if decoded {
+                    scratch.push_str(text);
+                    Arc::from(scratch.as_str())
+                } else {
+                    Arc::from(text)
+                }));
+            }
+            if !decoded {
+                scratch.clear();
+                decoded = true;
+            }
+            scratch.push_str(text);
+            scratch.push(self.entity()?);
+        }
+    }
+
+    /// The rest of an entity reference after its `&`.
+    fn entity(&mut self) -> Result<char, Stop> {
+        let start = self.at;
+        loop {
+            match self.peek()? {
+                None => return self.bad("unterminated entity"),
+                Some(b';') => {
+                    let name = &self.bytes[start..self.at];
+                    self.at += 1;
+                    return match name {
+                        b"lt" => Ok('<'),
+                        b"gt" => Ok('>'),
+                        b"amp" => Ok('&'),
+                        b"quot" => Ok('"'),
+                        b"apos" => Ok('\''),
+                        _ => self.bad("unknown entity"),
+                    };
+                }
+                Some(_) if self.at - start == 4 => return self.bad("unknown entity"),
+                Some(_) => self.at += 1,
+            }
+        }
+    }
+}
+
+/// The name spelled `bytes`, shared with earlier occurrences while the
+/// table has room.
+fn intern(names: &mut NameTable, bytes: &[u8]) -> Name {
+    if let Some(id) = names.find(bytes) {
+        return names.name(id).clone();
+    }
+    let name = Name::new(std::str::from_utf8(bytes).expect("names are ASCII"));
+    if names.len() < INTERN_NAMES && bytes.len() <= INTERN_NAME_LEN {
+        names.insert(name.clone());
+    }
+    name
 }
 
 impl<R: Read> SaxReader<R> {
@@ -81,6 +310,7 @@ impl<R: Read> SaxReader<R> {
             src,
             buf: Vec::new(),
             pos: 0,
+            end: 0,
             consumed: 0,
             eof: false,
             line: 1,
@@ -89,6 +319,7 @@ impl<R: Read> SaxReader<R> {
             pending_close: false,
             root_closed: false,
             peak_depth: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -121,171 +352,135 @@ impl<R: Read> SaxReader<R> {
         })
     }
 
-    /// Makes at least `n` bytes (n ≤ MAX_LOOKAHEAD) available at `pos`,
-    /// unless the source is exhausted. Consumed bytes are compacted away, so
-    /// the buffer never outgrows one chunk plus the lookahead window.
-    fn ensure(&mut self, n: usize) -> Result<(), XmlError> {
-        debug_assert!(n <= MAX_LOOKAHEAD);
-        while !self.eof && self.buf.len() - self.pos < n {
-            if self.pos > 0 {
-                self.buf.drain(..self.pos);
-                self.consumed += self.pos;
-                self.pos = 0;
+    /// Consumes the next `n` buffered bytes, moving line and column past
+    /// them in one step.
+    fn advance(&mut self, n: usize) {
+        let run = &self.buf[self.pos..self.pos + n];
+        match run.iter().rposition(|&b| b == b'\n') {
+            Some(last) => {
+                let lines = run[..=last].iter().filter(|&&b| b == b'\n').count();
+                self.line = self.line.saturating_add(lines as u32);
+                self.col = (n - last) as u32;
             }
-            let old_len = self.buf.len();
-            self.buf.resize(old_len + CHUNK, 0);
-            match self.src.read(&mut self.buf[old_len..]) {
+            None => self.col = self.col.saturating_add(n as u32),
+        }
+        self.pos += n;
+    }
+
+    /// The buffered, unconsumed bytes.
+    fn rest(&self) -> &[u8] {
+        &self.buf[self.pos..self.end]
+    }
+
+    /// Appends input after the unconsumed bytes, moving them to the front
+    /// of the buffer first, until at least `at_least` new bytes have
+    /// arrived or the source is exhausted. Returns whether any byte
+    /// arrived. The buffer grows only to hold a tag longer than a chunk.
+    fn fill(&mut self, at_least: usize) -> Result<bool, XmlError> {
+        if self.eof {
+            return Ok(false);
+        }
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.consumed += self.pos;
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        let room = self.end + at_least.max(CHUNK);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        let start = self.end;
+        while self.end - start < at_least {
+            match self.src.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    self.buf.truncate(old_len);
                     self.eof = true;
+                    break;
                 }
-                Ok(k) => self.buf.truncate(old_len + k),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.buf.truncate(old_len);
-                }
-                Err(e) => {
-                    self.buf.truncate(old_len);
-                    return self.err(format!("I/O error: {e}"));
-                }
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return self.err(format!("I/O error: {e}")),
             }
         }
+        Ok(self.end > start)
+    }
+
+    /// Makes `n` bytes available at `pos`, unless the source ends first.
+    fn lookahead(&mut self, n: usize) -> Result<(), XmlError> {
+        while self.end - self.pos < n && self.fill(1)? {}
         Ok(())
-    }
-
-    fn peek(&mut self) -> Result<Option<u8>, XmlError> {
-        self.ensure(1)?;
-        Ok(self.buf.get(self.pos).copied())
-    }
-
-    /// Does the unconsumed input start with `prefix`?
-    fn starts_with(&mut self, prefix: &[u8]) -> Result<bool, XmlError> {
-        self.ensure(prefix.len())?;
-        Ok(self.buf[self.pos..].starts_with(prefix))
-    }
-
-    fn bump(&mut self) -> Result<Option<u8>, XmlError> {
-        let b = self.peek()?;
-        if let Some(b) = b {
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
-            }
-        }
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) -> Result<(), XmlError> {
-        while matches!(self.peek()?, Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump()?;
-        }
-        Ok(())
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), XmlError> {
-        if self.peek()? == Some(b) {
-            self.bump()?;
-            Ok(())
-        } else {
-            self.err(format!("expected {:?}", b as char))
-        }
     }
 
     /// Skips whitespace, comments, and processing instructions.
     fn skip_misc(&mut self) -> Result<(), XmlError> {
         loop {
-            self.skip_ws()?;
-            if self.starts_with(b"<?")? {
-                self.bump()?; // '<'; "?>" may overlap the '?' that follows
-                loop {
-                    if self.starts_with(b"?>")? {
-                        self.bump()?;
-                        self.bump()?;
-                        break;
-                    }
-                    if self.bump()?.is_none() {
-                        return self.err("unterminated processing instruction");
-                    }
+            loop {
+                let rest = self.rest();
+                let k = rest.iter().position(|&b| !is_ws(b)).unwrap_or(rest.len());
+                self.advance(k);
+                if self.pos < self.end || !self.fill(1)? {
+                    break;
                 }
-            } else if self.starts_with(b"<!--")? {
-                self.bump()?; // "<!"; "-->" may overlap the "--" that follows
-                self.bump()?;
-                loop {
-                    if self.starts_with(b"-->")? {
-                        for _ in 0..3 {
-                            self.bump()?;
-                        }
-                        break;
-                    }
-                    if self.bump()?.is_none() {
-                        return self.err("unterminated comment");
-                    }
-                }
+            }
+            self.lookahead(4)?;
+            let rest = self.rest();
+            if rest.starts_with(b"<?") {
+                self.advance(1); // '<'; "?>" may overlap the '?' that follows
+                self.skip_past(b"?>", "unterminated processing instruction")?;
+            } else if rest.starts_with(b"<!--") {
+                self.advance(2); // "<!"; "-->" may overlap the "--" that follows
+                self.skip_past(b"-->", "unterminated comment")?;
             } else {
                 return Ok(());
             }
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
-        let mut out = String::new();
-        while let Some(b) = self.peek()? {
-            if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') {
-                out.push(b as char);
-                self.bump()?;
-            } else {
-                break;
+    /// Consumes input up to and including the first `end`.
+    fn skip_past(&mut self, end: &[u8], unterminated: &str) -> Result<(), XmlError> {
+        loop {
+            let rest = self.rest();
+            if let Some(i) = rest.windows(end.len()).position(|w| w == end) {
+                self.advance(i + end.len());
+                return Ok(());
+            }
+            // Keep what may be the front of `end` for the next refill.
+            let keep = (end.len() - 1).min(rest.len());
+            self.advance(rest.len() - keep);
+            if !self.fill(1)? {
+                self.advance(self.end - self.pos);
+                return self.err(unterminated);
             }
         }
-        if out.is_empty() {
-            return self.err("expected a name");
-        }
-        Ok(out)
     }
 
-    fn quoted_value(&mut self) -> Result<String, XmlError> {
-        let quote = match self.bump()? {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return self.err("expected a quoted attribute value"),
-        };
-        let mut out = String::new();
+    /// Parses one tag off the buffered slice, refilling and parsing again
+    /// while the tag runs past the buffered bytes.
+    fn tag<T>(
+        &mut self,
+        mut parse: impl FnMut(&mut Cursor<'_>, &mut Scratch) -> Result<T, Stop>,
+    ) -> Result<T, XmlError> {
         loop {
-            match self.bump()? {
-                None => return self.err("unterminated attribute value"),
-                Some(q) if q == quote => break,
-                Some(b'&') => out.push(self.entity()?),
-                Some(b) => out.push(b as char),
-            }
-        }
-        Ok(out)
-    }
-
-    fn entity(&mut self) -> Result<char, XmlError> {
-        let mut name = [0u8; 4];
-        let mut len = 0;
-        loop {
-            match self.peek()? {
-                None => return self.err("unterminated entity"),
-                Some(b';') => {
-                    self.bump()?;
-                    return match &name[..len] {
-                        b"lt" => Ok('<'),
-                        b"gt" => Ok('>'),
-                        b"amp" => Ok('&'),
-                        b"quot" => Ok('"'),
-                        b"apos" => Ok('\''),
-                        _ => self.err("unknown entity"),
-                    };
+            let mut cur = Cursor {
+                bytes: &self.buf[self.pos..self.end],
+                at: 0,
+                eof: self.eof,
+            };
+            match parse(&mut cur, &mut self.scratch) {
+                Ok(v) => {
+                    let n = cur.at;
+                    self.advance(n);
+                    return Ok(v);
                 }
-                Some(b) => {
-                    if len == name.len() {
-                        return self.err("unknown entity");
-                    }
-                    name[len] = b;
-                    len += 1;
-                    self.bump()?;
+                Err(Stop::More) => {
+                    // At least double the buffered part of the tag, so a
+                    // tag longer than a chunk is parsed O(1) times.
+                    let held = self.end - self.pos;
+                    self.fill(held.max(1))?;
+                }
+                Err(Stop::Bad(at, message)) => {
+                    self.advance(at);
+                    return self.err(message);
                 }
             }
         }
@@ -301,8 +496,9 @@ impl<R: Read> SaxReader<R> {
             }
             return Ok(Some(SaxEvent::Close { label }));
         }
+        // `skip_misc` leaves at least four bytes buffered, or the end.
         self.skip_misc()?;
-        match self.peek()? {
+        match self.rest().first().copied() {
             None => {
                 if let Some(open) = self.stack.last() {
                     return self.err(format!("missing close tag </{open}>"));
@@ -317,52 +513,23 @@ impl<R: Read> SaxReader<R> {
                 if self.stack.is_empty() && self.root_closed {
                     return self.err("trailing content after the root element");
                 }
-                if !self.stack.is_empty() && self.starts_with(b"</")? {
-                    self.bump()?;
-                    self.bump()?;
-                    let close = self.name()?;
-                    let label = self.stack.last().expect("non-empty stack").clone();
-                    if close != *label.as_str() {
-                        return self.err(format!("mismatched close tag: expected </{label}>"));
-                    }
-                    self.skip_ws()?;
-                    self.eat(b'>')?;
-                    self.stack.pop();
-                    if self.stack.is_empty() {
-                        self.root_closed = true;
-                    }
-                    return Ok(Some(SaxEvent::Close { label }));
-                }
-                self.bump()?; // '<'
-                let label = Name::new(self.name()?);
-                let mut attrs: Vec<(Name, Value)> = Vec::new();
-                loop {
-                    self.skip_ws()?;
-                    match self.peek()? {
-                        Some(b'/') | Some(b'>') => break,
-                        Some(_) => {
-                            let attr = self.name()?;
-                            self.skip_ws()?;
-                            self.eat(b'=')?;
-                            self.skip_ws()?;
-                            let value = self.quoted_value()?;
-                            if attrs.iter().any(|(a, _)| *a.as_str() == attr) {
-                                return self.err(format!("duplicate attribute {attr:?}"));
-                            }
-                            attrs.push((Name::new(attr), Value::from(value)));
+                if self.rest().get(1) == Some(&b'/') {
+                    if let Some(open) = self.stack.last().cloned() {
+                        self.tag(|cur, _| cur.close_tag(&open))?;
+                        self.stack.pop();
+                        if self.stack.is_empty() {
+                            self.root_closed = true;
                         }
-                        None => return self.err("unterminated start tag"),
+                        return Ok(Some(SaxEvent::Close { label: open }));
                     }
                 }
+                let (label, self_closing) = self.tag(|cur, scratch| cur.open_tag(scratch))?;
+                // Collected from a drain, the event's list has exactly
+                // the capacity it needs (none for no attributes).
+                let attrs = self.scratch.attrs.drain(..).collect();
                 self.stack.push(label.clone());
                 self.peak_depth = self.peak_depth.max(self.stack.len());
-                if self.peek()? == Some(b'/') {
-                    self.bump()?;
-                    self.eat(b'>')?;
-                    self.pending_close = true;
-                } else {
-                    self.eat(b'>')?;
-                }
+                self.pending_close = self_closing;
                 Ok(Some(SaxEvent::Open { label, attrs }))
             }
             Some(_) => {
@@ -468,6 +635,81 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn non_ascii_values_decode_as_utf8() {
+        let evs = events("<a v=\"caf\u{e9} &amp; \u{1f600}\" w='\u{fc}'/>").unwrap();
+        assert_eq!(
+            evs,
+            vec![
+                open("a", &[("v", "caf\u{e9} & \u{1f600}"), ("w", "\u{fc}")]),
+                close("a")
+            ]
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_located() {
+        let doc: &[u8] = b"<r>\n  <a v=\"ok\xff\"/></r>";
+        let mut r = SaxReader::new(doc);
+        assert!(r.next_event().unwrap().is_some());
+        let e = r.next_event().unwrap_err();
+        assert_eq!(e.message, "invalid UTF-8 in attribute value");
+        assert_eq!((e.offset, e.line, e.col), (14, 2, 11));
+    }
+
+    #[test]
+    fn repeated_names_share_one_allocation() {
+        let evs = events(r#"<r><pad a="1"/><pad a="2"/></r>"#).unwrap();
+        let (
+            SaxEvent::Open {
+                label: l1,
+                attrs: a1,
+            },
+            SaxEvent::Open {
+                label: l2,
+                attrs: a2,
+            },
+        ) = (&evs[1], &evs[3])
+        else {
+            panic!("{evs:?}")
+        };
+        assert!(std::ptr::eq(l1.as_str(), l2.as_str()));
+        assert!(std::ptr::eq(a1[0].0.as_str(), a2[0].0.as_str()));
+    }
+
+    #[test]
+    fn attribute_lists_are_allocated_exactly() {
+        for ev in events(r#"<r><a x="1"/><b x="1" y="2" z="3" w="4" v="5"/></r>"#).unwrap() {
+            if let SaxEvent::Open { attrs, .. } = ev {
+                assert_eq!(attrs.capacity(), attrs.len());
+            }
+        }
+    }
+
+    #[test]
+    fn name_table_is_capped() {
+        let body: String = (0..4 * INTERN_NAMES)
+            .map(|i| format!("<e{i} a{i}=\"v\"/>"))
+            .collect();
+        let doc = format!("<r>{body}</r>");
+        let mut r = SaxReader::new(doc.as_bytes());
+        let mut n = 0;
+        while r.next_event().unwrap().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 2 * (4 * INTERN_NAMES + 1));
+        assert_eq!(r.scratch.names.len(), INTERN_NAMES);
+    }
+
+    #[test]
+    fn tags_longer_than_a_chunk() {
+        let long = "x".repeat(3 * CHUNK + 17);
+        let doc = format!("<r><a v=\"{long}\"/><!-- {long} --><b/></r>");
+        let evs = events(&doc).unwrap();
+        assert_eq!(evs.len(), 6);
+        assert_eq!(evs[1], open("a", &[("v", long.as_str())]));
     }
 
     #[test]

@@ -91,6 +91,14 @@ impl Tree {
         t
     }
 
+    /// Reserves room for `additional` more nodes if the allocator grants
+    /// it, so that a builder that knows the size up front allocates the
+    /// arena once. A refused reservation is not an error: the arena then
+    /// grows as nodes arrive.
+    pub fn reserve(&mut self, additional: usize) {
+        let _ = self.nodes.try_reserve_exact(additional);
+    }
+
     /// Appends a new last child under `parent` and returns its id.
     pub fn add_child<N, V, I>(&mut self, parent: NodeId, label: impl Into<Name>, attrs: I) -> NodeId
     where
@@ -126,10 +134,21 @@ impl Tree {
     fn graft_node(&mut self, parent: NodeId, sub: &Tree, at: NodeId) -> NodeId {
         let data = &sub.nodes[at.index()];
         let copied = self.add_child(parent, data.label.clone(), data.attrs.iter().cloned());
-        for &c in &sub.nodes[at.index()].children {
-            self.graft_node(copied, sub, c);
-        }
+        self.copy_children(sub, at, copied);
         copied
+    }
+
+    /// Appends copies of the descendants of `from` in `sub` below `to`, in
+    /// pre-order (so ids come out as a recursive copy would assign them).
+    /// Iterative, so deep chains cannot overflow the stack.
+    fn copy_children(&mut self, sub: &Tree, from: NodeId, to: NodeId) {
+        let mut pending: Vec<(NodeId, NodeId)> =
+            sub.children(from).iter().rev().map(|&c| (c, to)).collect();
+        while let Some((at, parent)) = pending.pop() {
+            let data = &sub.nodes[at.index()];
+            let copied = self.add_child(parent, data.label.clone(), data.attrs.iter().cloned());
+            pending.extend(data.children.iter().rev().map(|&c| (c, copied)));
+        }
     }
 
     /// Total number of nodes.
@@ -366,9 +385,7 @@ impl Tree {
     pub fn subtree(&self, n: NodeId) -> Tree {
         let data = &self.nodes[n.index()];
         let mut t = Tree::with_root_attrs(data.label.clone(), data.attrs.iter().cloned());
-        for &c in &data.children {
-            t.graft_node(Tree::ROOT, self, c);
-        }
+        t.copy_children(self, n, Tree::ROOT);
         t
     }
 }
@@ -648,6 +665,42 @@ mod tests {
         assert_eq!(t.children(prof), &[back, mid, sup]);
         let end = t.graft_at(prof, 3, &solo);
         assert_eq!(t.children(prof), &[back, mid, sup, end]);
+    }
+
+    #[test]
+    fn deep_chain_graft_on_a_small_stack() {
+        // Grafting and extracting a chain far deeper than a 256 KiB stack
+        // holds frames of a per-level recursion.
+        const DEPTH: usize = 4_000;
+        let (host, copied, chain) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut chain = Tree::new("a");
+                let mut at = Tree::ROOT;
+                for i in 0..DEPTH {
+                    at = chain.add_child(at, "a", [("v", Value::int(i as i64))]);
+                }
+                let mut host = Tree::new("r");
+                host.add_elem(Tree::ROOT, "first");
+                let copied = host.graft_at(Tree::ROOT, 0, &chain);
+                let back = host.subtree(copied);
+                assert!(back == chain);
+                (host, copied, chain)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(host.size(), DEPTH + 3);
+        assert_eq!(host.children(Tree::ROOT)[0], copied);
+        assert_eq!(host.height(), DEPTH + 1);
+        // Ids are assigned in pre-order, as a recursive copy assigns them.
+        assert!(host
+            .nodes()
+            .skip(1)
+            .take(DEPTH + 1)
+            .map(|n| n.index())
+            .eq(2..DEPTH + 3));
+        assert_eq!(chain.size(), DEPTH + 1);
     }
 
     #[test]
